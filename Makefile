@@ -1,15 +1,25 @@
 # Developer entry points. The test suite expects the src layout on the
 # import path; PYTHONPATH=src avoids requiring an editable install.
+#
+# The native traversal kernel (src/repro/native/kernel.c) is compiled with
+# cffi and gcc on first import and cached in src/repro/native/_build/, so
+# the first `make test` (or any first run) builds it; `make native`
+# rebuilds it explicitly with warnings as errors.
 
 PYTHON ?= python
 PYTHONPATH := src
 
 export PYTHONPATH
 
-.PHONY: test test-all bench-smoke bench-inference bench-training bench-unlearning bench-sharding bench-serving bench-online profile-unlearn profile-flush lint
+.PHONY: native test test-all bench-smoke bench-inference bench-training bench-unlearning bench-sharding bench-serving bench-online profile-unlearn profile-flush lint
+
+## Rebuild the native kernel into its cache with -Wall -Wextra -Werror.
+native:
+	$(PYTHON) src/repro/native/build.py --werror
 
 ## Run the fast unit/property/integration suite (slow-marked tests are
-## excluded via addopts in pyproject.toml).
+## excluded via addopts in pyproject.toml). Builds the native kernel on
+## first use.
 test:
 	$(PYTHON) -m pytest tests/ -q
 
@@ -69,6 +79,6 @@ bench-online:
 	$(PYTHON) benchmarks/bench_online.py
 
 ## Static sanity: byte-compile everything (no third-party linter is
-## vendored in the image).
-lint:
+## vendored in the image) and build the native kernel warning-free.
+lint: native
 	$(PYTHON) -m compileall -q src tests benchmarks

@@ -1,18 +1,17 @@
-"""Inference benchmark: packed ensemble kernel vs the per-tree batch path.
+"""Inference benchmark: the native traversal kernel over the packed ensemble.
 
 Measures, on the largest registry dataset (credit):
 
-* single-record prediction latency (p50/p99) through the packed scalar walk,
-* micro-batch and full-batch prediction throughput of the packed kernel
-  against the pre-existing per-tree ``predict_batch`` path (kept as
-  ``predict_batch_legacy``), and
+* single-record prediction latency (p50/p99) through ``predict``,
+* micro-batch and full-batch prediction throughput of ``predict_rows``,
+  and
 * the same batch throughput *after* an unlearning campaign, demonstrating
   that deletions keep the pack valid (O(1) leaf write-through, no rebuild).
 
-Also asserts label/probability equivalence between the packed and
-per-record paths before reporting. Results land in ``BENCH_inference.json``
-(machine-readable; committed alongside the code). Run via
-``make bench-inference``.
+Before reporting it asserts that per-record and batch reads agree, and
+that both match the pure-Python ``walk_one`` reference bit for bit on a
+sample of rows. Results land in ``BENCH_inference.json`` (machine-readable;
+committed alongside the code). Run via ``make bench-inference``.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.ensemble import HedgeCutClassifier
+from repro.core.packed import walk_one
 from repro.datasets.registry import load_dataset
 from repro.evaluation.splits import train_test_split
 
@@ -49,27 +49,19 @@ def _time_batches(fn, batches, repeats: int) -> float:
 def _batch_throughput(
     model: HedgeCutClassifier, test, batch_size: int, repeats: int
 ) -> dict:
-    """Legacy vs packed rows/sec at one batch size over the test set."""
+    """Packed-kernel rows/sec at one batch size over the test set."""
     matrix = test.feature_matrix()
     n_rows = test.n_rows
-    bounds = [
-        (start, min(start + batch_size, n_rows))
+    batches = [
+        matrix[start:min(start + batch_size, n_rows)]
         for start in range(0, n_rows, batch_size)
     ]
-    dataset_batches = [test.take(np.arange(start, stop)) for start, stop in bounds]
-    matrix_batches = [matrix[start:stop] for start, stop in bounds]
-
-    model.predict_batch_legacy(dataset_batches[0])  # warm the compiled trees
-    model.predict_rows(matrix_batches[0])  # warm the pack
-
-    legacy_seconds = _time_batches(model.predict_batch_legacy, dataset_batches, repeats)
-    packed_seconds = _time_batches(model.predict_rows, matrix_batches, repeats)
+    model.predict_rows(batches[0])  # warm the pack
+    seconds = _time_batches(model.predict_rows, batches, repeats)
     return {
         "batch_size": batch_size,
         "n_rows": n_rows,
-        "legacy_rows_per_sec": n_rows / legacy_seconds,
-        "packed_rows_per_sec": n_rows / packed_seconds,
-        "speedup": legacy_seconds / packed_seconds,
+        "packed_rows_per_sec": n_rows / seconds,
     }
 
 
@@ -88,17 +80,38 @@ def _single_record_latency(model: HedgeCutClassifier, test, n_samples: int) -> d
     }
 
 
+def _reference_probas(model: HedgeCutClassifier, matrix: np.ndarray) -> np.ndarray:
+    """Probabilities from the pure-Python ``walk_one`` reference walk."""
+    arrays = model.packed.arrays()
+    n_trees = len(model.trees)
+    out = np.empty(matrix.shape[0])
+    for row, values in enumerate(matrix.tolist()):
+        total = 0.0
+        for tree in range(n_trees):
+            leaf = walk_one(arrays, values, tree)
+            n, n_plus = int(arrays.leaf_n[leaf]), int(arrays.leaf_n_plus[leaf])
+            total += n_plus / n if n > 0 else 0.5
+        out[row] = total / n_trees
+    return out
+
+
 def _check_equivalence(model: HedgeCutClassifier, test) -> dict:
     matrix = test.feature_matrix()
     records = list(test.records(range(test.n_rows)))
     scalar_labels = np.asarray([model.predict(r) for r in records], dtype=np.uint8)
     scalar_probas = np.asarray([model.predict_proba(r) for r in records])
+    batch_probas = model.predict_proba_rows(matrix)
+    sample = np.arange(0, test.n_rows, 10)
     return {
         "labels_identical": bool(
             np.array_equal(scalar_labels, model.predict_rows(matrix))
         ),
         "probas_bitwise_identical": bool(
-            np.array_equal(scalar_probas, model.predict_proba_rows(matrix))
+            np.array_equal(scalar_probas, batch_probas)
+        ),
+        "reference_rows_checked": int(sample.shape[0]),
+        "matches_walk_one_reference": bool(
+            np.array_equal(batch_probas[sample], _reference_probas(model, matrix[sample]))
         ),
     }
 
@@ -128,6 +141,7 @@ def main() -> None:
     equivalence = _check_equivalence(model, test)
     assert equivalence["labels_identical"], "packed labels diverged"
     assert equivalence["probas_bitwise_identical"], "packed probabilities diverged"
+    assert equivalence["matches_walk_one_reference"], "kernel diverged from walk_one"
 
     single = _single_record_latency(model, test, n_samples=2000)
     micro = _batch_throughput(model, test, args.micro_batch, args.repeats)
@@ -140,11 +154,14 @@ def main() -> None:
 
     equivalence_after = _check_equivalence(model, test)
     assert equivalence_after["labels_identical"], "packed labels diverged post-campaign"
+    assert equivalence_after["matches_walk_one_reference"], (
+        "kernel diverged from walk_one post-campaign"
+    )
     micro_after = _batch_throughput(model, test, args.micro_batch, args.repeats)
     full_after = _batch_throughput(model, test, test.n_rows, args.repeats)
 
     result = {
-        "benchmark": "packed ensemble inference",
+        "benchmark": "native packed ensemble inference",
         "config": {
             "dataset": args.dataset,
             "n_rows": args.n_rows,
@@ -176,15 +193,13 @@ def main() -> None:
             "micro_batch": micro_after,
             "full_batch": full_after,
         },
-        "headline_speedup": micro["speedup"],
     }
     args.output.write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps(result, indent=2))
     print(f"\nwrote {args.output}")
     print(
-        f"headline: packed {micro['packed_rows_per_sec']:,.0f} rows/s vs "
-        f"legacy {micro['legacy_rows_per_sec']:,.0f} rows/s at batch "
-        f"{args.micro_batch} -> {micro['speedup']:.1f}x"
+        f"headline: single-record p50 {single['p50_us']:.1f} us, "
+        f"{micro['packed_rows_per_sec']:,.0f} rows/s at batch {args.micro_batch}"
     )
 
 

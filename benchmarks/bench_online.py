@@ -130,7 +130,7 @@ def assert_equivalence(base, train, matrix: np.ndarray, n_ops: int) -> dict:
     for mode, model in twins.items():
         spliced = model.packed.arrays()
         fresh = pickle.loads(pickle.dumps(model.packed)).arrays()
-        for field in spliced._fields[:-1]:  # all arrays; skip chunk_rows
+        for field in spliced.FIELDS:
             assert np.array_equal(
                 getattr(spliced, field), getattr(fresh, field)
             ), f"{mode}: spliced pack diverged from a full repack in {field}"

@@ -48,8 +48,8 @@ def test_batch_prediction_throughput(benchmark, deployed):
 
 
 def test_compiled_vs_graph_prediction(benchmark, deployed):
-    """The flat-array predictor is the deployed fast path; compare it
-    against naive graph traversal (the Section 8 data-structure claim)."""
+    """The packed kernel is the deployed fast path; compare it against
+    naive graph traversal (the Section 8 data-structure claim)."""
     model, _, test = deployed
     values = test.record(0).values
 
@@ -57,7 +57,7 @@ def test_compiled_vs_graph_prediction(benchmark, deployed):
         return [tree.predict_value(values) for tree in model.trees]
 
     graph_votes = traverse_graphs()
-    compiled_label = model.predict(values)
-    assert compiled_label in (0, 1)
+    packed_label = model.predict(values)
+    assert packed_label in (0, 1)
     assert len(graph_votes) == len(model.trees)
     benchmark(traverse_graphs)

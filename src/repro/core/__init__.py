@@ -12,10 +12,9 @@ Module map (paper section in parentheses):
 * :mod:`repro.core.tree`        -- the tree builder (Section 4.3, Algorithm 3).
 * :mod:`repro.core.unlearning`  -- the unlearning traversal (Section 4.5,
   Algorithm 4).
-* :mod:`repro.core.compiled`    -- flat-array predictor for fast serving
-  (Section 5 and the data-structure item of Section 8).
-* :mod:`repro.core.packed`      -- whole-ensemble packed inference kernel
-  with incremental leaf sync (the Section 8 idea taken to batch scale).
+* :mod:`repro.core.packed`      -- the whole ensemble packed into flat
+  arrays with incremental leaf sync, walked by the compiled traversal
+  kernel of :mod:`repro.native` (the data-structure item of Section 8).
 * :mod:`repro.core.ensemble`    -- the public :class:`HedgeCutClassifier`.
 * :mod:`repro.core.regression`  -- :class:`HedgeCutRegressor`, the regression
   extension sketched as future work in Section 8.

@@ -61,8 +61,7 @@ class MaintenanceFlushReport:
             summed over the replayed trajectories -- the exact number the
             eager path would have counted for the same operations.
         switched_trees: sorted tree indices whose *final* active variant
-            differs from the tagged one (the caller invalidates their
-            compiled form).
+            differs from the tagged one.
         switched_nodes: the :class:`~repro.core.nodes.MaintenanceNode`
             objects behind those switches, for in-place span splicing via
             ``PackedEnsemble.splice_subtree``.
@@ -90,7 +89,7 @@ def flush_deferred(pack, node_ids=None) -> MaintenanceFlushReport:
     n_total = len(pack.pending_mnode)
     if n_total == 0:
         return MaintenanceFlushReport()
-    pack.ensure_stats_current()
+    pack.ensure_fresh()
 
     all_mnodes = np.asarray(pack.pending_mnode, dtype=np.intp)
     all_recs = np.asarray(pack.pending_rec, dtype=np.intp)

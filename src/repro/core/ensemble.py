@@ -1,10 +1,11 @@
 """The public HedgeCut classifier (Sections 4.3-4.5 of the paper).
 
 ``HedgeCutClassifier`` learns an ensemble of randomised trees with
-robustness-checked splits, answers prediction requests from a compiled
-flat-array representation, and serves *unlearning requests* in place: a
-GDPR deletion request updates the deployed model directly instead of going
-through a heavyweight retrain-and-redeploy pipeline (Figure 1).
+robustness-checked splits, answers prediction requests from a packed
+flat-array representation walked by a compiled C kernel, and serves
+*unlearning requests* in place: a GDPR deletion request updates the
+deployed model directly instead of going through a heavyweight
+retrain-and-redeploy pipeline (Figure 1).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.compiled import CompiledTree
 from repro.core.exceptions import (
     DeletionBudgetExhausted,
     NotFittedError,
@@ -181,7 +181,6 @@ class HedgeCutClassifier:
             seed=seed,
         )
         self._trees: list[HedgeCutTree] = []
-        self._compiled: list[CompiledTree | None] = []
         self._packed: PackedEnsemble | None = None
         self._schema: tuple[FeatureSchema, ...] | None = None
         self._deletion_budget = 0
@@ -235,7 +234,6 @@ class HedgeCutClassifier:
             self._trees = [
                 build_tree(dataset, self.params, tree_rng) for tree_rng in tree_rngs
             ]
-        self._compiled = [None] * len(self._trees)
         self._packed = None
         self._schema = dataset.schema
         self._deletion_budget = self.params.deletion_budget(dataset.n_rows)
@@ -266,21 +264,15 @@ class HedgeCutClassifier:
     # prediction (Section 4.4)
     # ------------------------------------------------------------------ #
 
-    def _compiled_tree(self, index: int) -> CompiledTree:
-        compiled = self._compiled[index]
-        if compiled is None:
-            compiled = CompiledTree.from_tree(self._trees[index].root)
-            self._compiled[index] = compiled
-        return compiled
-
     @property
     def packed(self) -> PackedEnsemble:
-        """The packed whole-ensemble inference kernel (built lazily once).
+        """The packed whole-ensemble form every read goes through (built
+        lazily once).
 
-        Unlike the per-tree compiled form, the pack is *maintained* under
-        unlearning rather than invalidated: leaf decrements write through
-        to its flat arrays in O(1), and the rare maintenance-node variant
-        switch repacks only the affected tree's slot range.
+        The pack is *maintained* under unlearning rather than rebuilt:
+        leaf decrements write through to its flat arrays in O(1), and the
+        rare maintenance-node variant switch splices only the switched
+        node's reserved span.
         """
         self._require_fitted()
         if self._packed is None:
@@ -306,21 +298,13 @@ class HedgeCutClassifier:
         """Majority-vote label for one encoded record."""
         self._require_fitted()
         self._maybe_flush_for_read()
-        values = _as_values(record)
-        votes = 0
-        for index in range(len(self._trees)):
-            votes += self._compiled_tree(index).predict_value(values)
-        return 1 if 2 * votes > len(self._trees) else 0
+        return self.packed.predict_one(_as_values(record))
 
     def predict_proba(self, record: Record | Sequence[int] | np.ndarray) -> float:
         """Mean positive-class probability across the trees (soft vote)."""
         self._require_fitted()
         self._maybe_flush_for_read()
-        values = _as_values(record)
-        total = 0.0
-        for index in range(len(self._trees)):
-            total += self._compiled_tree(index).predict_proba_value(values)
-        return total / len(self._trees)
+        return self.packed.predict_proba_one(_as_values(record))
 
     def predict_batch(self, dataset: Dataset) -> np.ndarray:
         """Majority-vote labels for a whole dataset (packed kernel)."""
@@ -365,20 +349,6 @@ class HedgeCutClassifier:
         self._require_fitted()
         self._maybe_flush_for_read()
         return self.packed.predict_votes_rows(values)
-
-    def predict_batch_legacy(self, dataset: Dataset) -> np.ndarray:
-        """Pre-pack reference batch path: walk the ``T`` compiled trees.
-
-        Kept as the equivalence oracle for the packed kernel and as the
-        baseline of ``benchmarks/bench_inference.py``; production callers
-        should use :meth:`predict_batch`.
-        """
-        self._require_fitted()
-        self._maybe_flush_for_read()
-        votes = np.zeros(dataset.n_rows, dtype=np.int64)
-        for index in range(len(self._trees)):
-            votes += self._compiled_tree(index).predict_batch(dataset)
-        return (2 * votes > len(self._trees)).astype(np.uint8)
 
     # ------------------------------------------------------------------ #
     # unlearning (Section 4.5)
@@ -455,19 +425,16 @@ class HedgeCutClassifier:
             return MaintenanceFlushReport()
         assert self._packed is not None
         report = flush_deferred(self._packed.unlearn_pack())
-        self._apply_switches(report.switched_trees, report.switched_nodes)
+        self._apply_switches(report.switched_nodes)
         return report
 
-    def _apply_switches(self, switched_trees, switched_nodes) -> None:
-        """Propagate variant switches into the compiled and packed forms.
+    def _apply_switches(self, switched_nodes) -> None:
+        """Propagate variant switches into the packed form.
 
-        The compiled per-tree form is dropped lazily per switched tree;
-        the packed ensemble is updated in place by splicing each switched
+        The packed ensemble is updated in place by splicing each switched
         maintenance node's reserved span (no whole-tree re-emit, no array
         reallocation -- see ``PackedEnsemble.splice_subtree``).
         """
-        for index in switched_trees:
-            self._compiled[index] = None
         packed = self._packed
         if packed is None:
             return
@@ -543,12 +510,9 @@ class HedgeCutClassifier:
         leaf_sink = self._packed.sync_leaf if self._packed is not None else None
         for index, plan in enumerate(plans):
             tree_report = apply_unlearn(plan, leaf_sink=leaf_sink)
-            if tree_report.variant_switches:
-                # Structure changed: drop this tree's compiled form (rebuilt
-                # lazily) and repack only this tree's slot range in the pack.
-                self._compiled[index] = None
-                if self._packed is not None:
-                    self._packed.repack_tree(index)
+            if tree_report.variant_switches and self._packed is not None:
+                # Structure changed: re-splice this tree's switched spans.
+                self._packed.repack_tree(index)
             report.merge(tree_report)
         if self._packed is not None:
             # The split statistics changed behind the packed stats mirror.
@@ -577,7 +541,7 @@ class HedgeCutClassifier:
             deferred=deferred,
             maintenance_budget=self.maintenance_budget if deferred else None,
         )
-        self._apply_switches(result.switched_trees, result.switched_nodes)
+        self._apply_switches(result.switched_nodes)
         self._n_unlearned += 1
         return result.report
 
@@ -689,7 +653,7 @@ class HedgeCutClassifier:
                 deferred=deferred,
                 maintenance_budget=budget,
             )
-        self._apply_switches(result.switched_trees, result.switched_nodes)
+        self._apply_switches(result.switched_nodes)
         self._n_unlearned += len(records)
         return result.report
 
@@ -738,14 +702,11 @@ class HedgeCutClassifier:
                 deferred=deferred,
                 maintenance_budget=self.maintenance_budget if deferred else None,
             )
-            self._apply_switches(result.switched_trees, result.switched_nodes)
+            self._apply_switches(result.switched_nodes)
             return result.report
         report = UnlearningReport()
-        for index, tree in enumerate(self._trees):
-            tree_report = _learn_one_in_tree(tree.root, record)
-            if tree_report.variant_switches:
-                self._compiled[index] = None
-            report.merge(tree_report)
+        for tree in self._trees:
+            report.merge(_learn_one_in_tree(tree.root, record))
         return report
 
     # ------------------------------------------------------------------ #
@@ -763,27 +724,15 @@ class HedgeCutClassifier:
         self._require_fitted()
         return self._n_trained_on
 
-    def invalidate_compiled(self) -> None:
-        """Drop every derived read structure; rebuilt lazily on prediction.
-
-        Pending deferred maintenance lives in the pack being dropped, so
-        it is flushed into the object graph first (no-op when empty).
-        """
-        self.flush_maintenance()
-        self._compiled = [None] * len(self._trees)
-        self._packed = None
-
     def invalidate_tree(self, index: int) -> None:
-        """Refresh the derived read structures of one tree after an
-        out-of-band structural edit (e.g. a manually forced variant switch).
+        """Refresh the packed form of one tree after an out-of-band
+        structural edit (e.g. a manually forced variant switch).
 
-        Drops the tree's compiled form and repacks its slot range in the
-        packed kernel, if one has been built.
+        Re-splices the tree's switched spans, if the pack has been built.
         """
         self._require_fitted()
         if not 0 <= index < len(self._trees):
             raise IndexError(f"tree index {index} out of range")
-        self._compiled[index] = None
         if self._packed is not None:
             self._packed.repack_tree(index)
 
@@ -818,7 +767,6 @@ class HedgeCutClassifier:
             seed=params.seed,
         )
         model._trees = list(trees)
-        model._compiled = [None] * len(model._trees)
         model._packed = None
         model._schema = tuple(schema)
         model._deletion_budget = deletion_budget

@@ -8,7 +8,7 @@ counts, greedy split robustness over the ``4K`` removal configurations
 and in-place unlearning. It follows the binary implementation's structure
 (including the effective node budget, threat-only variants and maintenance
 depth cap documented in :mod:`repro.core.tree`) without its binary-only
-optimisations (no compiled predictor, no in-place workspace) -- this is the
+optimisations (no packed predictor, no in-place workspace) -- this is the
 generalisation, not the fast path.
 """
 

@@ -1,9 +1,6 @@
-"""Packed ensemble inference kernel (the Section 8 "denser data structure").
+"""Packed ensemble inference (the Section 8 "denser data structure").
 
-:class:`CompiledTree` already flattens *one* tree for fast scalar
-prediction, but batch prediction still walks ``T`` compiled trees in a
-Python loop, re-partitioning the row set slot by slot. This module goes one
-step further and packs the **whole ensemble** into contiguous numpy
+The whole fitted ensemble is packed into contiguous numpy
 structure-of-arrays:
 
 * ``feature[slot]`` -- feature id tested at the slot, or :data:`LEAF_MARKER`.
@@ -11,21 +8,24 @@ structure-of-arrays:
   into the flat routing table (row index times table width); for leaf slots
   the index into the flat leaf arrays.
 * ``right[slot]`` -- absolute slot id of the right child. Children are
-  emitted **adjacently** (``left == right - 1``), so advancing a frontier
-  is the branch-free ``right[slot] - goes_left`` with no select and no
-  second child gather.
+  emitted **adjacently** (``left == right - 1``), so a step is the
+  branch-free ``right[slot] - goes_left``.
 * ``route_flat[payload + code]`` -- one precomputed goes-left membership
   row per internal slot, flattened into a single 1-D table. Categorical
   subset bitmasks are expanded exactly once at pack time; numeric
-  ``code < cut`` tests are expanded into the same table so the traversal
-  kernel is completely branch-free.
+  ``code < cut`` tests are expanded into the same table.
 * ``leaf_n`` / ``leaf_n_plus`` -- leaf statistics mirrored into flat int64
   arrays.
 
-Batch prediction is then a *level-synchronous vectorised traversal*: one
-active-frontier loop advances every ``(row, tree)`` pair simultaneously
-with five 1-D gathers per tree level (feature id, code, route bit, child,
-leaf check) instead of a Python iteration per node.
+Every read walks these arrays in one compiled C kernel
+(:mod:`repro.native`): a leaf-index matrix, and fused vote counts and
+probabilities, for batches and single rows alike. The kernel checks every
+index against its array length and bounds each walk by the slot count,
+so no input can make it read outside its buffers. A code outside every
+feature's domain (at or beyond the routing-table width) goes right at
+every split, like an extreme value in the node graph. :func:`walk_one` is
+the pure-Python statement of the same walk; the tests use it as the
+reference the kernel must match bit for bit.
 
 Crucially the pack stays valid **under unlearning**:
 
@@ -58,11 +58,11 @@ Nested maintenance nodes carve their arenas out of the enclosing one, so a
 splice anywhere touches one contiguous region per array (plus the one root
 slot). Slots a variant does not use are padded as *safe leaves* (feature
 ``LEAF_MARKER``, payload a valid in-span leaf row) and unused leaf rows are
-zeroed: even a torn concurrent read of a half-spliced span can only land on
-in-range indices, which is what keeps the shared-memory fleet's optimistic
-reads crash-safe without a generation copy. Child pairs are always
-allocated at slots strictly above their parent's, so any mix of old and new
-span content still walks strictly forward and terminates.
+zeroed. Child pairs are always allocated at slots strictly above their
+parent's, so any mix of old and new span content still walks strictly
+forward and terminates; a torn concurrent read of a half-spliced span that
+does stray is caught by the kernel's bounds checks and retried by the
+shared-memory reader.
 
 Because geometry is fixed, ``epoch`` now bumps only on genuinely
 geometry-changing events (initial build, unpickle/snapshot restore);
@@ -73,7 +73,7 @@ writer drains for span-delta publishes.
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -81,13 +81,10 @@ from repro.core.nodes import Leaf, MaintenanceNode, SplitNode, TreeNode
 from repro.core.splits import CategoricalSplit, NumericSplit
 from repro.core.tree import HedgeCutTree
 from repro.dataprep.dataset import Dataset, FeatureSchema
+from repro.native import ffi, lib
 
-#: Sentinel feature id marking a leaf slot (same convention as CompiledTree).
+#: Sentinel feature id marking a leaf slot.
 LEAF_MARKER = -1
-
-#: Row-chunk size of the traversal kernel; bounds the (rows x trees) state
-#: to a cache-friendly working set regardless of the batch size.
-DEFAULT_CHUNK_ROWS = 4096
 
 #: Process-wide structural-epoch source: every :meth:`PackedEnsemble._build`
 #: (construction, unpickle / snapshot restore) draws a fresh value, so two
@@ -108,53 +105,114 @@ def _route_row(split: NumericSplit | CategoricalSplit, width: int) -> np.ndarray
     return row
 
 
-class PackedArrays(NamedTuple):
-    """The seven flat arrays (plus chunking policy) the traversal reads.
+def _int64_buffer(name: str, array: np.ndarray):
+    if array.dtype != np.int64 or array.ndim != 1 or not array.flags.c_contiguous:
+        raise TypeError(f"{name} must be a contiguous 1-D int64 array")
+    return ffi.from_buffer("int64_t[]", array)
+
+
+class PackedArrays:
+    """The seven flat arrays the traversal reads, plus the routing width.
 
     Decoupling the kernel from :class:`PackedEnsemble` lets any holder of
     the arrays -- the in-process pack, or a reader process attached to the
     shared-memory segments of :mod:`repro.serving.shm` -- run the exact
     same traversal code, which is what makes the multi-process serving
     fleet bit-identical to the in-process path by construction.
+
+    The object also holds the kernel's view of the arrays: a C struct of
+    pointers into them, plus the buffer handles that keep those pointers
+    valid. The handles pin the arrays' buffers, so the owner (the pack
+    build, or one shared-memory reader generation) must drop this object
+    before it can release the memory underneath -- ``SharedMemory.close()``
+    raises ``BufferError`` while a handle is alive.
     """
 
-    feature: np.ndarray
-    payload: np.ndarray
-    right: np.ndarray
-    route_flat: np.ndarray
-    tree_roots: np.ndarray
-    leaf_n: np.ndarray
-    leaf_n_plus: np.ndarray
-    chunk_rows: int
+    FIELDS = (
+        "feature", "payload", "right", "route_flat", "tree_roots",
+        "leaf_n", "leaf_n_plus",
+    )
+
+    __slots__ = FIELDS + ("width", "_pack", "_buffers")
+
+    def __init__(
+        self,
+        feature: np.ndarray,
+        payload: np.ndarray,
+        right: np.ndarray,
+        route_flat: np.ndarray,
+        tree_roots: np.ndarray,
+        leaf_n: np.ndarray,
+        leaf_n_plus: np.ndarray,
+        width: int,
+    ) -> None:
+        self.feature = feature
+        self.payload = payload
+        self.right = right
+        self.route_flat = route_flat
+        self.tree_roots = tree_roots
+        self.leaf_n = leaf_n
+        self.leaf_n_plus = leaf_n_plus
+        self.width = int(width)
+        if (
+            route_flat.itemsize != 1
+            or route_flat.ndim != 1
+            or not route_flat.flags.c_contiguous
+        ):
+            raise TypeError("route_flat must be a contiguous 1-D bool array")
+        pack = ffi.new("hc_pack *")
+        buffers = (
+            _int64_buffer("feature", feature),
+            _int64_buffer("payload", payload),
+            _int64_buffer("right", right),
+            ffi.from_buffer("uint8_t[]", route_flat),
+            _int64_buffer("tree_roots", tree_roots),
+            _int64_buffer("leaf_n", leaf_n),
+            _int64_buffer("leaf_n_plus", leaf_n_plus),
+        )
+        (
+            pack.feature, pack.payload, pack.right, pack.route,
+            pack.roots, pack.leaf_n, pack.leaf_n_plus,
+        ) = buffers
+        pack.n_slots = min(len(feature), len(payload), len(right))
+        pack.route_len = len(route_flat)
+        pack.width = self.width
+        pack.n_trees = len(tree_roots)
+        pack.n_leaves = min(len(leaf_n), len(leaf_n_plus))
+        self._pack = pack
+        self._buffers = buffers
 
 
 def as_code_matrix(values: np.ndarray) -> np.ndarray:
-    """Validate/normalise a request payload to an int64 code matrix."""
+    """Validate/normalise a request payload to a C-contiguous int64 matrix."""
     matrix = np.asarray(values)
     if matrix.ndim != 2:
         raise ValueError(
             f"expected a (n_rows, n_features) code matrix, got shape "
             f"{matrix.shape}"
         )
-    if matrix.dtype != np.int64:
-        matrix = matrix.astype(np.int64)
-    return matrix
+    return np.ascontiguousarray(matrix, dtype=np.int64)
 
 
 class TornTraversalError(RuntimeError):
-    """A packed traversal exceeded its slot budget or indexed out of range.
+    """A packed traversal exceeded its slot budget.
 
-    Impossible on a consistent pack (every walk strictly descends and every
-    index is in range by construction); it can only fire on a torn
-    optimistic read of shared memory mid-splice, where a reader may observe
-    a mix of old and new span contents. The shm reader treats it like a
-    seqlock conflict and retries.
+    Impossible on a consistent pack (every walk strictly descends); it can
+    only fire on a torn optimistic read of shared memory mid-splice, where
+    a reader may observe a mix of old and new span contents, or on corrupt
+    arrays. The shm reader treats it (and the kernel's ``IndexError`` for
+    an out-of-range index) like a seqlock conflict and retries when the
+    seqlock moved during the read.
     """
 
 
 def walk_one(arrays: PackedArrays, values: Sequence[int], tree: int) -> int:
     """Scalar root-to-leaf walk of one tree; returns the global leaf index.
 
+    The pure-Python reference of the native kernel's walk, kept for the
+    tests: the kernel must return the same leaf for every consistent pack.
+    A code at or beyond the table width lies outside every feature's
+    domain and goes right, like an extreme value in the node graph.
     The walk is bounded by the slot count: a consistent pack strictly
     descends (children always sit at higher slots), so the bound can only
     trip on a torn shared-memory read, which surfaces as
@@ -167,9 +225,19 @@ def walk_one(arrays: PackedArrays, values: Sequence[int], tree: int) -> int:
         feature_id = feature[slot]
         if feature_id == LEAF_MARKER:
             return int(payload[slot])
-        goes_left = route_flat[payload[slot] + values[feature_id]]
+        code = values[feature_id]
+        if code < 0:
+            raise IndexError(f"negative code {code}")
+        goes_left = code < arrays.width and route_flat[payload[slot] + code]
         slot = int(right[slot]) - int(goes_left)
     raise TornTraversalError("scalar walk exceeded the slot budget")
+
+
+def _check(status: int) -> None:
+    if status == lib.HC_TORN:
+        raise TornTraversalError("packed walk exceeded the slot budget")
+    if status == lib.HC_RANGE:
+        raise IndexError("packed walk read an index outside its array")
 
 
 def leaf_matrix(arrays: PackedArrays, values: np.ndarray) -> np.ndarray:
@@ -180,77 +248,32 @@ def leaf_matrix(arrays: PackedArrays, values: np.ndarray) -> np.ndarray:
         values: ``(n_rows, n_features)`` integer code matrix.
 
     Returns:
-        ``(n_rows, n_trees)`` matrix of global leaf indices.
+        ``(n_rows, n_trees)`` int64 matrix of global leaf indices.
 
-    The traversal is level-synchronous: each iteration advances the
-    whole still-active frontier one tree level with five 1-D gathers
-    (the feature id doubles as next level's leaf check), then compacts
-    the frontier as pairs reach their leaves. Rows are processed in
-    chunks to bound the state arrays to a cache-friendly working set.
+    Raises:
+        TornTraversalError: a walk exceeded the slot budget.
+        IndexError: an index or code fell outside its array.
     """
-    n_rows, n_features = values.shape
-    tree_roots = arrays.tree_roots
-    n_trees = tree_roots.shape[0]
-    out = np.empty((n_rows, n_trees), dtype=np.intp)
-    out_flat = out.reshape(-1)
-    feature, payload, right = arrays.feature, arrays.payload, arrays.right
-    route_flat = arrays.route_flat
-    flat_values = np.ascontiguousarray(values).reshape(-1)
-    for start in range(0, n_rows, arrays.chunk_rows):
-        stop = min(start + arrays.chunk_rows, n_rows)
-        size = stop - start
-        cur = np.tile(tree_roots, size)
-        rowbase = np.repeat(
-            np.arange(start, stop, dtype=np.intp) * n_features, n_trees
-        )
-        pos = np.arange(
-            start * n_trees, stop * n_trees, dtype=np.intp
-        )
-        fid = feature[cur]
-        # A consistent pack strictly descends, so no walk can take more
-        # levels than there are slots; the bound only trips on a torn
-        # shared-memory read (see TornTraversalError).
-        for _level in range(feature.shape[0] + 1):
-            at_leaf = fid == LEAF_MARKER
-            if at_leaf.any():
-                out_flat[pos[at_leaf]] = payload[cur[at_leaf]]
-                live = ~at_leaf
-                cur = cur[live]
-                rowbase = rowbase[live]
-                pos = pos[live]
-                fid = fid[live]
-            if not cur.size:
-                break
-            codes = flat_values[rowbase + fid]
-            goes_left = route_flat[payload[cur] + codes]
-            cur = right[cur] - goes_left
-            fid = feature[cur]
-        else:
-            raise TornTraversalError("frontier walk exceeded the slot budget")
+    matrix = as_code_matrix(values)
+    n_rows, n_features = matrix.shape
+    out = np.empty((n_rows, arrays.tree_roots.shape[0]), dtype=np.int64)
+    _check(lib.hc_leaves(
+        arrays._pack, ffi.from_buffer("int64_t[]", matrix), n_rows, n_features,
+        ffi.from_buffer("int64_t[]", out, require_writable=True),
+    ))
     return out
 
 
 def predict_votes_rows(arrays: PackedArrays, values: np.ndarray) -> np.ndarray:
-    """Per-row positive hard-vote counts (``int64``) for a code matrix.
-
-    Single-row requests skip the level-synchronous frontier machinery --
-    the tile/repeat/compaction setup costs more than the walk itself at
-    ``n == 1`` -- and take a plain per-tree scalar walk over the same flat
-    arrays instead. Tree-vote comparisons are integer exact, so both paths
-    return identical counts.
-    """
+    """Per-row positive hard-vote counts (``int64``) for a code matrix."""
     matrix = as_code_matrix(values)
-    leaf_n, leaf_n_plus = arrays.leaf_n, arrays.leaf_n_plus
-    if matrix.shape[0] == 1:
-        row = matrix[0]
-        votes = 0
-        for tree in range(arrays.tree_roots.shape[0]):
-            leaf = walk_one(arrays, row, tree)
-            if 2 * leaf_n_plus[leaf] > leaf_n[leaf]:
-                votes += 1
-        return np.asarray([votes], dtype=np.int64)
-    leaves = leaf_matrix(arrays, matrix)
-    return (2 * leaf_n_plus[leaves] > leaf_n[leaves]).sum(axis=1)
+    n_rows, n_features = matrix.shape
+    out = np.empty(n_rows, dtype=np.int64)
+    _check(lib.hc_votes(
+        arrays._pack, ffi.from_buffer("int64_t[]", matrix), n_rows, n_features,
+        ffi.from_buffer("int64_t[]", out, require_writable=True),
+    ))
+    return out
 
 
 def predict_rows(arrays: PackedArrays, values: np.ndarray) -> np.ndarray:
@@ -263,34 +286,19 @@ def predict_rows(arrays: PackedArrays, values: np.ndarray) -> np.ndarray:
 def predict_proba_rows(arrays: PackedArrays, values: np.ndarray) -> np.ndarray:
     """Soft-vote positive-class probabilities for a code matrix.
 
-    The per-tree probabilities are accumulated in tree order with
-    sequential float adds, exactly like the scalar
-    ``HedgeCutClassifier.predict_proba`` loop, so the results are
-    bit-for-bit identical to the per-record path. The single-row fast
-    path performs the same division (``n_plus / n`` as int64 operands)
-    and the same ordered float64 adds, so it is bit-identical too.
+    Each tree contributes ``n_plus / n`` of its leaf (0.5 for an empty
+    leaf), summed in tree order with sequential float64 adds and divided
+    by the tree count -- the same operations, in the same order, as the
+    per-record definition, so results are bit-for-bit identical to it.
     """
     matrix = as_code_matrix(values)
-    n_trees = arrays.tree_roots.shape[0]
-    leaf_n, leaf_n_plus = arrays.leaf_n, arrays.leaf_n_plus
-    if matrix.shape[0] == 1:
-        row = matrix[0]
-        total = np.float64(0.0)
-        for tree in range(n_trees):
-            leaf = walk_one(arrays, row, tree)
-            count = leaf_n[leaf]
-            total = total + ((leaf_n_plus[leaf] / count) if count > 0 else 0.5)
-        return np.asarray([total / n_trees], dtype=np.float64)
-    leaves = leaf_matrix(arrays, matrix)
-    counts = leaf_n[leaves]
-    positives = leaf_n_plus[leaves]
-    probabilities = np.where(
-        counts > 0, positives / np.maximum(counts, 1), 0.5
-    )
-    total = np.zeros(matrix.shape[0], dtype=np.float64)
-    for tree in range(n_trees):
-        total += probabilities[:, tree]
-    return total / n_trees
+    n_rows, n_features = matrix.shape
+    out = np.empty(n_rows, dtype=np.float64)
+    _check(lib.hc_proba(
+        arrays._pack, ffi.from_buffer("int64_t[]", matrix), n_rows, n_features,
+        ffi.from_buffer("double[]", out, require_writable=True),
+    ))
+    return out
 
 
 def _compute_footprints(roots: Sequence[TreeNode]) -> dict[int, tuple[int, int, int]]:
@@ -448,7 +456,6 @@ class PackedEnsemble:
         trees: the fitted trees (active variants are resolved at pack time).
         schema: the model's feature schema; its maximum code cardinality
             fixes the routing-table width.
-        chunk_rows: row-chunk size of the traversal kernel.
 
     The pack holds references to the live :class:`Leaf` objects so that
     :meth:`sync_leaf` can mirror in-place decrements, and rewrites a
@@ -460,15 +467,11 @@ class PackedEnsemble:
         self,
         trees: Sequence[HedgeCutTree],
         schema: Sequence[FeatureSchema],
-        chunk_rows: int = DEFAULT_CHUNK_ROWS,
     ) -> None:
         if not trees:
             raise ValueError("cannot pack an empty ensemble")
-        if chunk_rows < 1:
-            raise ValueError("chunk_rows must be positive")
         self._roots = [tree.root for tree in trees]
         self._width = max(feature.n_values for feature in schema)
-        self._chunk_rows = chunk_rows
         self._unlearn_pack = None
         self._build()
 
@@ -489,9 +492,9 @@ class PackedEnsemble:
         n_slots = sum(t[0] for t in totals)
         n_routes = sum(t[1] for t in totals)
         n_leaves = sum(t[2] for t in totals)
-        self.feature = np.full(n_slots, LEAF_MARKER, dtype=np.intp)
-        self.payload = np.zeros(n_slots, dtype=np.intp)
-        self.right = np.zeros(n_slots, dtype=np.intp)
+        self.feature = np.full(n_slots, LEAF_MARKER, dtype=np.int64)
+        self.payload = np.zeros(n_slots, dtype=np.int64)
+        self.right = np.zeros(n_slots, dtype=np.int64)
         self.route_flat = np.zeros(n_routes * self._width, dtype=bool)
         self.leaf_n = np.zeros(n_leaves, dtype=np.int64)
         self.leaf_n_plus = np.zeros(n_leaves, dtype=np.int64)
@@ -520,11 +523,21 @@ class PackedEnsemble:
             slot_base += slots
             route_base += routes
             leaf_base += leaves
-        self.tree_roots = np.asarray(roots, dtype=np.intp)
+        self.tree_roots = np.asarray(roots, dtype=np.int64)
         # Structural epoch: changes only when geometry actually changes
         # (this method runs). The shared-memory writer compares epochs to
         # decide between a span-delta publish and a full generation copy.
         self.epoch = next(_EPOCH_COUNTER)
+        self._arrays = PackedArrays(
+            feature=self.feature,
+            payload=self.payload,
+            right=self.right,
+            route_flat=self.route_flat,
+            tree_roots=self.tree_roots,
+            leaf_n=self.leaf_n,
+            leaf_n_plus=self.leaf_n_plus,
+            width=self._width,
+        )
         self._dirty_slot_ranges.clear()
         self._dirty_route_ranges.clear()
 
@@ -621,7 +634,7 @@ class PackedEnsemble:
             safe_row = max(arena.leaf_hi - 1, 0)
             self.feature[lo:hi] = LEAF_MARKER
             self.payload[lo:hi] = safe_row
-            self.right[lo:hi] = np.arange(lo, hi, dtype=np.intp)
+            self.right[lo:hi] = np.arange(lo, hi, dtype=np.int64)
         if arena.route_cur < arena.route_hi:
             width = self._width
             self.route_flat[arena.route_cur * width:arena.route_hi * width] = False
@@ -775,22 +788,18 @@ class PackedEnsemble:
                 self._splice(info)
 
     def arrays(self) -> PackedArrays:
-        """The current flat arrays as a :class:`PackedArrays` view.
+        """The flat arrays and their kernel handle, built once per build.
 
         The view aliases the live arrays (no copy). Geometry is fixed for
         the pack's lifetime, so the view stays valid across splices; it
         only goes stale if the pack itself is rebuilt (unpickle).
         """
-        return PackedArrays(
-            feature=self.feature,
-            payload=self.payload,
-            right=self.right,
-            route_flat=self.route_flat,
-            tree_roots=self.tree_roots,
-            leaf_n=self.leaf_n,
-            leaf_n_plus=self.leaf_n_plus,
-            chunk_rows=self._chunk_rows,
-        )
+        return self._arrays
+
+    @property
+    def width(self) -> int:
+        """Routing-table width: the largest code cardinality in the schema."""
+        return self._width
 
     @property
     def leaf_index(self) -> dict[int, int]:
@@ -868,31 +877,18 @@ class PackedEnsemble:
             # The pending deferred-maintenance log lives on the unlearn
             # pack, which does not travel; a copy taken now would carry
             # stale gains with no tags left to fix them. Callers flush
-            # first (HedgeCutClassifier.save/invalidate_compiled do).
+            # first (HedgeCutClassifier.save does).
             raise RuntimeError(
                 "cannot pickle or deepcopy a PackedEnsemble with pending "
                 "deferred maintenance; flush_maintenance() first"
             )
-        return {
-            "roots": self._roots,
-            "width": self._width,
-            "chunk_rows": self._chunk_rows,
-        }
+        return {"roots": self._roots, "width": self._width}
 
     def __setstate__(self, state: dict) -> None:
         self._roots = state["roots"]
         self._width = state["width"]
-        self._chunk_rows = state["chunk_rows"]
         self._unlearn_pack = None
         self._build()
-
-    # ------------------------------------------------------------------ #
-    # traversal kernel
-    # ------------------------------------------------------------------ #
-
-    def _leaf_matrix(self, values: np.ndarray) -> np.ndarray:
-        """Route every (row, tree) pair to its leaf index (module kernel)."""
-        return leaf_matrix(self.arrays(), values)
 
     # ------------------------------------------------------------------ #
     # prediction over raw code matrices
@@ -900,7 +896,7 @@ class PackedEnsemble:
 
     def predict_rows(self, values: np.ndarray) -> np.ndarray:
         """Majority-vote labels for an ``(n_rows, n_features)`` code matrix."""
-        return predict_rows(self.arrays(), values)
+        return predict_rows(self._arrays, values)
 
     def predict_votes_rows(self, values: np.ndarray) -> np.ndarray:
         """Per-row positive hard-vote counts for a code matrix.
@@ -911,7 +907,7 @@ class PackedEnsemble:
         independent sub-ensembles add, so ``2 * sum(votes) > total_trees``
         reproduces the single-model majority rule exactly.
         """
-        return predict_votes_rows(self.arrays(), values)
+        return predict_votes_rows(self._arrays, values)
 
     def predict_proba_rows(self, values: np.ndarray) -> np.ndarray:
         """Soft-vote positive-class probabilities for a code matrix.
@@ -919,11 +915,9 @@ class PackedEnsemble:
         The per-tree probabilities are accumulated in tree order with
         sequential float adds, exactly like the scalar
         ``HedgeCutClassifier.predict_proba`` loop, so the results are
-        bit-for-bit identical to the per-record path. Single-row requests
-        take the scalar per-tree walk (see the module-level
-        :func:`predict_proba_rows`), skipping the frontier setup.
+        bit-for-bit identical to the per-record path.
         """
-        return predict_proba_rows(self.arrays(), values)
+        return predict_proba_rows(self._arrays, values)
 
     # ------------------------------------------------------------------ #
     # prediction over datasets
@@ -938,27 +932,27 @@ class PackedEnsemble:
         return self.predict_proba_rows(dataset.feature_matrix())
 
     # ------------------------------------------------------------------ #
-    # scalar path (single-record serving)
+    # single-record serving
     # ------------------------------------------------------------------ #
 
+    # The same kernel entry points as the batch path, called with one row.
+    # cffi converts a tuple or list of ints to a C array directly, which
+    # skips the numpy matrix round trip a single record does not need.
+
     def predict_one(self, values: Sequence[int]) -> int:
-        """Majority-vote label for one record (tight scalar loop)."""
-        arrays = self.arrays()
-        votes = 0
-        for tree in range(self.n_trees):
-            leaf = walk_one(arrays, values, tree)
-            votes += 1 if 2 * self.leaf_n_plus[leaf] > self.leaf_n[leaf] else 0
-        return 1 if 2 * votes > self.n_trees else 0
+        """Majority-vote label for one record."""
+        votes = ffi.new("int64_t[1]")
+        row = values if isinstance(values, (tuple, list)) else tuple(values)
+        _check(lib.hc_votes(self._arrays._pack, row, 1, len(row), votes))
+        return 1 if 2 * votes[0] > self.n_trees else 0
 
     def predict_proba_one(self, values: Sequence[int]) -> float:
         """Soft-vote positive-class probability for one record."""
-        arrays = self.arrays()
-        total = 0.0
-        for tree in range(self.n_trees):
-            leaf = walk_one(arrays, values, tree)
-            count = self.leaf_n[leaf]
-            total += (self.leaf_n_plus[leaf] / count) if count > 0 else 0.5
-        return total / self.n_trees
+        proba = ffi.new("double[1]")
+        row = values if isinstance(values, (tuple, list)) else tuple(values)
+        _check(lib.hc_proba(self._arrays._pack, row, 1, len(row), proba))
+        return proba[0]
 
     def _walk_one(self, values: Sequence[int], tree: int) -> int:
-        return walk_one(self.arrays(), values, tree)
+        """Leaf index of one record in one tree."""
+        return int(leaf_matrix(self._arrays, [values])[0, tree])

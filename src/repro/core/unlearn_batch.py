@@ -82,9 +82,8 @@ class BatchUnlearnResult:
         report: aggregated counters, merge-identical to running the scalar
             loop over the same records in the same order.
         switched_trees: sorted tree indices whose *final* active variant
-            differs from the pre-batch one -- exactly the trees whose
-            compiled form the caller must invalidate (transient mid-batch
-            switches that settle back do not route differently afterwards).
+            differs from the pre-batch one (transient mid-batch switches
+            that settle back do not route differently afterwards).
         switched_nodes: the :class:`MaintenanceNode` objects behind those
             switches; the caller hands each to
             ``PackedEnsemble.splice_subtree`` for an in-place span rewrite
@@ -126,7 +125,6 @@ class UnlearnPack:
         self.pending_mnode: list[int] = []
         self.pending_rec: list[int] = []
         self._pending_count: list[int] = [0] * len(self.mnodes)
-        self._stats_dirty = False
 
     # ------------------------------------------------------------------ #
     # emission
@@ -290,9 +288,6 @@ class UnlearnPack:
             (leaf.n_plus for leaf in leaves), dtype=np.int64, count=n_leaves
         )
         self._stale = False
-        # The gather reads the live objects, which deferred scalar writes
-        # keep authoritative -- one refresh clears both staleness kinds.
-        self._stats_dirty = False
 
     def mark_stale(self) -> None:
         """Flag the count mirrors as out of date (structure stays valid)."""
@@ -303,26 +298,19 @@ class UnlearnPack:
         return self._stale
 
     def ensure_fresh(self) -> None:
+        """Refresh the count mirrors if object-path mutations staled them.
+
+        Readers of the flat count arrays (the batch kernel's validation,
+        the flush kernel's trajectory replay, the scalar write paths) call
+        this; every scalar packed write path keeps the mirrors current
+        inline, deferred or not, so it is a no-op on the hot paths.
+        """
         if self._stale:
             self.refresh()
 
     # ------------------------------------------------------------------ #
     # deferred-maintenance pending log
     # ------------------------------------------------------------------ #
-
-    def ensure_stats_current(self) -> None:
-        """Refresh the count mirrors if either staleness flag is set.
-
-        ``_stale`` covers object-path mutations; ``_stats_dirty`` is kept
-        as a hook for writers that cannot maintain the mirrors inline
-        (every current scalar path writes them through, deferred or not,
-        precisely so this stays a no-op on the flush path). Readers of
-        the flat count arrays (the batch kernel's validation, the flush
-        kernel's trajectory replay) call this; the scalar hot path never
-        does.
-        """
-        if self._stale or self._stats_dirty:
-            self.refresh()
 
     @property
     def has_pending(self) -> bool:
@@ -428,7 +416,7 @@ def unlearn_batch_packed(
             atomic, strictly stronger than the scalar loop's per-record
             atomicity).
     """
-    pack.ensure_stats_current()
+    pack.ensure_fresh()
     values = np.ascontiguousarray(np.asarray(values, dtype=np.int64))
     if values.ndim != 2:
         raise ValueError(

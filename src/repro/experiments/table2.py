@@ -93,11 +93,10 @@ def run(
         model.fit(data.train)
 
         rng = np.random.default_rng(seed)
-        # Warm up the deployed model: the compiled flat-array trees (and
-        # the packed ensemble, in batched mode) are built lazily on first
-        # use, and the first workload would otherwise pay that cost (which
-        # is exactly the kind of asymmetry the KS test then flags as a
-        # spurious throughput difference).
+        # Warm up the deployed model: the packed ensemble is built lazily
+        # on first use, and the first workload would otherwise pay that
+        # cost (which is exactly the kind of asymmetry the KS test then
+        # flags as a spurious throughput difference).
         warmup = ServingSimulator(model, data.test, seed=seed, batch_size=batch_size)
         warmup.run(RequestMix(n_requests=min(200, n_requests)))
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 import zipfile
 import zlib
@@ -49,6 +50,7 @@ from repro.core.params import HedgeCutParams
 from repro.core.splits import CategoricalSplit, NumericSplit, Split, SplitStats
 from repro.core.tree import BuildCounters, HedgeCutTree
 from repro.dataprep.dataset import FeatureKind, FeatureSchema
+from repro.persistence.durable import fsync_directory
 
 #: Identifier written into every snapshot's metadata block.
 SNAPSHOT_FORMAT = "hedgecut-snapshot"
@@ -269,8 +271,12 @@ def save_snapshot(
     path: str | Path,
     wal_seq: int = 0,
     created_at: float | None = None,
+    fsync: bool = False,
 ) -> SnapshotInfo:
     """Write a fitted model to ``path`` as a versioned, checksummed snapshot.
+
+    The file is written under a temporary name and renamed into place, so
+    ``path`` never holds a half-written snapshot.
 
     Args:
         model: the fitted classifier to serialise.
@@ -279,6 +285,10 @@ def save_snapshot(
             reflected in the model's state; recovery replays only records
             beyond it.
         created_at: unix timestamp override (defaults to now).
+        fsync: make the snapshot durable before returning: fsync the file
+            before the rename and the directory after it. A store that
+            compacts its log behind the snapshot needs this in strict
+            durability mode.
     """
     if not model.is_fitted:
         raise SnapshotFormatError("cannot snapshot an unfitted model")
@@ -308,9 +318,15 @@ def save_snapshot(
     meta["checksum"] = _checksum(arrays, meta)
     meta_json = json.dumps(meta, sort_keys=True)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as sink:
+    staging = path.with_name(path.name + ".tmp")
+    with open(staging, "wb") as sink:
         np.savez_compressed(sink, __meta__=np.array(meta_json), **arrays)
         sink.flush()
+        if fsync:
+            os.fsync(sink.fileno())
+    os.replace(staging, path)
+    if fsync:
+        fsync_directory(path.parent)
     return _info_from_meta(path, meta, arrays["node_kind"].shape[0],
                            arrays["var_feature"].shape[0])
 

@@ -30,6 +30,7 @@ from pathlib import Path
 
 from repro.core.ensemble import HedgeCutClassifier
 from repro.core.exceptions import HedgeCutError
+from repro.persistence.durable import fsync_directory
 from repro.persistence.snapshot import (
     SnapshotInfo,
     SnapshotIntegrityError,
@@ -62,8 +63,10 @@ class ModelStore:
 
     Args:
         directory: store root (created if missing).
-        fsync: strict-durability mode for WAL appends, see
-            :class:`~repro.persistence.wal.WriteAheadLog`.
+        fsync: strict-durability mode: WAL appends and segment changes are
+            fsynced (see :class:`~repro.persistence.wal.WriteAheadLog`),
+            and every snapshot is durable -- file and directory entry --
+            before the log is compacted behind it.
         keep_snapshots: how many most-recent snapshots to retain; older ones
             are pruned after each successful save (at least one is kept).
     """
@@ -77,6 +80,7 @@ class ModelStore:
         self.snapshot_dir = self.directory / "snapshots"
         self.snapshot_dir.mkdir(parents=True, exist_ok=True)
         self.keep_snapshots = keep_snapshots
+        self.fsync = fsync
         self.wal = WriteAheadLog(self.directory / "wal", fsync=fsync)
         # A snapshot compacts the log, possibly deleting every record; the
         # snapshot file names then carry the only durable trace of how far
@@ -127,7 +131,9 @@ class ModelStore:
         if wal_seq is None:
             wal_seq = self.wal.last_seq
         path = self.snapshot_dir / f"snapshot-{wal_seq:012d}.npz"
-        info = save_snapshot(model, path, wal_seq=wal_seq)
+        # Strict mode: the snapshot is durable before compaction below
+        # deletes the log segments it replaces.
+        info = save_snapshot(model, path, wal_seq=wal_seq, fsync=self.fsync)
         self._prune_snapshots()
         # Compaction is bounded by the *oldest retained* snapshot, not the
         # one just written: if the newest file turns out corrupt, recovery
@@ -139,8 +145,13 @@ class ModelStore:
 
     def _prune_snapshots(self) -> None:
         paths = self.snapshot_paths()
-        for path in paths[: max(0, len(paths) - self.keep_snapshots)]:
+        pruned = paths[: max(0, len(paths) - self.keep_snapshots)]
+        for path in pruned:
             path.unlink()
+        if pruned and self.fsync:
+            # Compaction is bounded by the oldest *retained* snapshot; a
+            # pruned one must not reappear after a crash without its log.
+            fsync_directory(self.snapshot_dir)
 
     # ------------------------------------------------------------------ #
     # recovery

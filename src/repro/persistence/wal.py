@@ -10,7 +10,10 @@ Framing: each record is ``[length: uint32 LE][crc32: uint32 LE][payload]``
 where the payload is a canonical JSON object (UTF-8) carrying the global
 sequence number, the encoded record values, the label and the request
 metadata. The CRC covers the payload only; the length field is implicitly
-validated by the CRC check on the bytes it delimits.
+validated by the CRC check on the bytes it delimits. The writer never
+emits an empty payload, so a zero length marks an invalid frame: a
+zero-filled tail (a file extended by a crash whose data never landed)
+would otherwise pass the CRC check, because ``crc32(b"") == 0``.
 
 The log is segmented: ``wal-<n>.log`` files in one directory. ``rotate()``
 seals the current segment and opens the next; ``compact(upto_seq)`` deletes
@@ -18,7 +21,10 @@ sealed segments whose records are all covered by a snapshot (this is what
 a snapshot triggers). A torn write at the tail of the *last* segment (the
 only place a crash can leave one) is detected by the CRC and truncated on
 the next open; a corrupt frame anywhere else raises
-:class:`WalCorruptionError` because it means real data loss.
+:class:`WalCorruptionError` because it means real data loss. In strict
+mode (``fsync=True``) the log directory is fsynced whenever a segment is
+created, rotated in or unlinked, so segment names are as durable as their
+contents.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from typing import Iterator, Sequence, Union
 
 from repro.core.exceptions import HedgeCutError
 from repro.dataprep.dataset import Record
+from repro.persistence.durable import fsync_directory
 
 _FRAME_HEADER = struct.Struct("<II")
 
@@ -245,7 +252,7 @@ def _scan_segment(path: Path, final: bool) -> tuple[list[WalFrame], int]:
             break
         length, crc = _FRAME_HEADER.unpack_from(data, offset)
         payload_end = header_end + length
-        if length > _MAX_PAYLOAD_BYTES or payload_end > len(data):
+        if length == 0 or length > _MAX_PAYLOAD_BYTES or payload_end > len(data):
             break
         payload = data[header_end:payload_end]
         if zlib.crc32(payload) != crc:
@@ -269,7 +276,8 @@ class WriteAheadLog:
 
     Args:
         directory: segment directory (created if missing).
-        fsync: when true, every append is followed by ``os.fsync`` -- the
+        fsync: when true, every append is followed by ``os.fsync`` and
+            every segment create/rotate/unlink by a directory fsync -- the
             strict durability mode. Off by default because the serving
             benchmarks measure the framing overhead separately from disk
             sync latency.
@@ -299,9 +307,13 @@ class WriteAheadLog:
                 # Reclaim the torn tail left by a crash mid-append.
                 with open(segment, "r+b") as handle:
                     handle.truncate(valid_length)
+                    if fsync:
+                        os.fsync(handle.fileno())
         self._next_seq = last_seq + 1
         self._segment_id = _segment_id(segments[-1]) if segments else 1
         self._handle = open(self._segment_path(self._segment_id), "ab")
+        if fsync and not segments:
+            fsync_directory(self.directory)
 
     def _segment_path(self, segment_id: int) -> Path:
         return self.directory / f"{_SEGMENT_PREFIX}{segment_id:08d}{_SEGMENT_SUFFIX}"
@@ -423,6 +435,8 @@ class WriteAheadLog:
         self._handle.close()
         self._segment_id += 1
         self._handle = open(self._segment_path(self._segment_id), "ab")
+        if self.fsync:
+            fsync_directory(self.directory)
         return self._segment_path(self._segment_id)
 
     def close(self) -> None:
@@ -500,4 +514,6 @@ class WriteAheadLog:
                 break  # segments are ordered; nothing further is coverable
             segment.unlink()
             deleted.append(segment)
+        if deleted and self.fsync:
+            fsync_directory(self.directory)
         return deleted

@@ -19,7 +19,7 @@ Two kinds of POSIX segments per deployment, all named under one base:
     A fixed 16-slot ``int64`` header: magic/layout version, the seqlock
     version counter, the current data-segment *generation*, the published
     WAL offset, and the array extents (slots, route length, leaves, trees,
-    route width, chunk size). The header segment never moves; it is the
+    route width). The header segment never moves; it is the
     rendezvous point readers attach first.
 
 ``{name}-g{generation}``
@@ -62,9 +62,11 @@ eventually-consistent:
   keep every index in range (padding slots are safe leaves) and every
   child pointer strictly above its parent, so a reader that races the
   memcpy walks only in-range slots; in the worst torn interleaving the
-  walk trips the kernel's slot-budget bound or gathers past a leaf array
-  (:class:`~repro.core.packed.TornTraversalError` / ``IndexError``), both
-  of which the reader treats exactly like a seqlock conflict and retries.
+  walk trips the native kernel's slot-budget bound or one of its index
+  range checks (:class:`~repro.core.packed.TornTraversalError` /
+  ``IndexError``), both of which the reader treats exactly like a seqlock
+  conflict and retries. The checks make the kernel unable to read outside
+  the mapped arrays whatever a torn read shows it.
   Genuinely geometry-changing events (snapshot restore, rebuild) still cut
   a **new** generation segment and unlink the old one; a reader
   mid-traversal keeps a valid private mapping (POSIX keeps unlinked
@@ -130,8 +132,9 @@ from repro.serving.audit import AuditedUnlearner, AuditEntry
 from repro.serving.engine import CONSISTENCY_MODES
 
 #: Header magic ("HECG") and layout version; attach fails fast on mismatch.
+#: Version 2 dropped the traversal chunk size (word 10 is now unused).
 MAGIC = 0x48454347
-LAYOUT_VERSION = 1
+LAYOUT_VERSION = 2
 
 #: Header word indices (int64 slots in the ``{name}-hdr`` segment).
 HDR_MAGIC = 0
@@ -144,7 +147,6 @@ HDR_ROUTE_LEN = 6
 HDR_N_LEAVES = 7
 HDR_N_TREES = 8
 HDR_WIDTH = 9
-HDR_CHUNK_ROWS = 10
 HDR_WRITER_PID = 11
 HDR_N_PUBLISHES = 12
 HDR_SIZE = 16
@@ -255,14 +257,18 @@ class _DataLayout:
                    + self.route_len)
 
 
-def _map_views(segment: SharedMemory, layout: _DataLayout, chunk_rows: int) -> PackedArrays:
-    """Build the :class:`PackedArrays` view over one mapped data segment."""
+def _map_views(segment: SharedMemory, layout: _DataLayout, width: int) -> PackedArrays:
+    """Build the :class:`PackedArrays` view over one mapped data segment.
+
+    The result holds kernel handles on the mapping: drop it before
+    closing ``segment``.
+    """
     arrays = {}
     for name, (offset, length, dtype) in layout.offsets.items():
         arrays[name] = np.ndarray(
             (length,), dtype=dtype, buffer=segment.buf, offset=offset
         )
-    return PackedArrays(chunk_rows=chunk_rows, **arrays)
+    return PackedArrays(width=width, **arrays)
 
 
 #: Test-only fault hook: when set, invoked by the writer *between* the odd
@@ -287,8 +293,6 @@ class SharedPackedEnsemble:
 
     def __init__(self, name: str, packed: PackedEnsemble, wal_seq: int = 0) -> None:
         self.name = name
-        source = packed.arrays()
-        self._chunk_rows = source.chunk_rows
         self._header_shm = _create_segment(f"{name}-hdr", _HDR_BYTES)
         self._header = np.ndarray(
             (HDR_SIZE,), dtype=np.int64, buffer=self._header_shm.buf
@@ -296,7 +300,6 @@ class SharedPackedEnsemble:
         self._header[:] = 0
         self._header[HDR_MAGIC] = MAGIC
         self._header[HDR_LAYOUT] = LAYOUT_VERSION
-        self._header[HDR_CHUNK_ROWS] = self._chunk_rows
         self._header[HDR_WRITER_PID] = os.getpid()
         self._generation = -1
         self._data_shm: SharedMemory | None = None
@@ -404,7 +407,7 @@ class SharedPackedEnsemble:
         segment = _create_segment(
             f"{self.name}-g{generation}", layout.total_bytes
         )
-        views = _map_views(segment, layout, self._chunk_rows)
+        views = _map_views(segment, layout, packed.width)
         views.feature[:] = source.feature
         views.payload[:] = source.payload
         views.right[:] = source.right
@@ -418,7 +421,7 @@ class SharedPackedEnsemble:
         self._header[HDR_ROUTE_LEN] = layout.route_len
         self._header[HDR_N_LEAVES] = layout.n_leaves
         self._header[HDR_N_TREES] = layout.n_trees
-        self._header[HDR_WIDTH] = getattr(packed, "_width", 0)
+        self._header[HDR_WIDTH] = packed.width
         self._header[HDR_GENERATION] = generation
         self._header[HDR_WAL_SEQ] = wal_seq
         self._commit()
@@ -549,9 +552,7 @@ class SharedEnsembleReader:
             n_trees=int(self._header[HDR_N_TREES]),
         )
         segment = _attach_segment(f"{self.name}-g{generation}")
-        views = _map_views(
-            segment, layout, int(self._header[HDR_CHUNK_ROWS])
-        )
+        views = _map_views(segment, layout, int(self._header[HDR_WIDTH]))
         if self._data_shm is not None:
             # Release the old views first: they export the old mapping's
             # buffer, and mmap refuses to close while exports exist.
@@ -593,13 +594,17 @@ class SharedEnsembleReader:
                     self._generation = -1
                 except (IndexError, packed_kernel.TornTraversalError):
                     # Torn *span* view: a concurrent in-place splice mixed
-                    # old and new span contents under our feet. The walk
-                    # either tripped its slot budget or gathered an
-                    # out-of-range index; the seqlock must have moved, so
-                    # fall through and retry. (With a stable seqlock this
-                    # cannot happen on a consistent pack; the bounded retry
-                    # loop still surfaces TornReadError if it somehow does.)
-                    pass
+                    # old and new span contents under our feet, and the
+                    # kernel tripped its slot budget or an index check.
+                    # A torn read always moves the seqlock, so retry. If
+                    # it did not move, the arrays were consistent and the
+                    # request itself is out of range (a negative code, too
+                    # few columns): surface that instead of retrying.
+                    if (
+                        int(header[HDR_SEQLOCK]) == version
+                        and int(header[HDR_GENERATION]) == generation
+                    ):
+                        raise
             retries += 1
             if retries > self.max_retries:
                 raise TornReadError(

@@ -9,10 +9,11 @@ the model "never re-reads the training data" (Section 2 of the paper).
 Content routing also guarantees that duplicate training records land in
 the same shard, so deleting a record removes every copy from one place.
 
-The hash is a salted 64-bit FNV-1a over the code sequence, computed with
-``numpy`` ``uint64`` wrap-around arithmetic. The scalar path routes a
-single record through the same vectorised function on a one-row matrix,
-so per-record routing and whole-dataset partitioning agree bit-for-bit,
+The hash is a salted 64-bit FNV-1a over the code sequence and the label,
+each folded in as one 64-bit word with wrap-around arithmetic. One C
+function of :mod:`repro.native` computes it for the scalar path (one
+record, on every routed deletion) and for whole code matrices, so
+per-record routing and whole-dataset partitioning agree bit-for-bit,
 independent of process, platform and ``PYTHONHASHSEED``.
 """
 
@@ -23,10 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dataprep.dataset import Dataset, Record
+from repro.native import ffi, lib
 
-#: FNV-1a 64-bit offset basis and prime.
-_FNV_OFFSET = np.uint64(14695981039346656037)
-_FNV_PRIME = np.uint64(1099511628211)
+_UINT64_MASK = 0xFFFFFFFFFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -92,29 +92,14 @@ class HashPartitioner:
     # hashing
     # ------------------------------------------------------------------ #
 
-    def _hash_matrix(self, values: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """Salted FNV-1a over each row of ``(values | label)``, vectorised.
-
-        Every code is folded in as one 64-bit word (codes are small
-        non-negative integers, so no byte splitting is needed for
-        avalanche quality at these sizes).
-        """
-        with np.errstate(over="ignore"):
-            digest = np.full(values.shape[0], _FNV_OFFSET, dtype=np.uint64)
-            digest ^= np.uint64(self.salt & 0xFFFFFFFFFFFFFFFF)
-            digest *= _FNV_PRIME
-            for column in range(values.shape[1]):
-                digest ^= values[:, column].astype(np.uint64)
-                digest *= _FNV_PRIME
-            digest ^= labels.astype(np.uint64)
-            digest *= _FNV_PRIME
-        return digest
-
     def shard_of_values(self, values, label: int) -> int:
         """Owning shard of one encoded record (values + label)."""
-        matrix = np.asarray(values, dtype=np.int64).reshape(1, -1)
-        labels = np.asarray([label], dtype=np.int64)
-        return int(self._hash_matrix(matrix, labels)[0] % np.uint64(self.n_shards))
+        out = ffi.new("int64_t[1]")
+        lib.hc_shards(
+            [int(value) for value in values], [int(label)], 1, len(values),
+            self.salt & _UINT64_MASK, self.n_shards, out,
+        )
+        return out[0]
 
     def shard_of_record(self, record: Record) -> int:
         """Owning shard of one deletion request."""
@@ -122,11 +107,19 @@ class HashPartitioner:
 
     def shards_of_matrix(self, values: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """Owning shard per row of a code matrix (vectorised routing)."""
-        matrix = np.asarray(values, dtype=np.int64)
+        matrix = np.ascontiguousarray(values, dtype=np.int64)
         if matrix.ndim != 2:
             raise ValueError("expected a (n_rows, n_features) code matrix")
-        digest = self._hash_matrix(matrix, np.asarray(labels, dtype=np.int64))
-        return (digest % np.uint64(self.n_shards)).astype(np.int64)
+        labels = np.ascontiguousarray(labels, dtype=np.int64)
+        if labels.shape != (matrix.shape[0],):
+            raise ValueError("expected one label per row")
+        out = np.empty(matrix.shape[0], dtype=np.int64)
+        lib.hc_shards(
+            ffi.from_buffer("int64_t[]", matrix), ffi.from_buffer("int64_t[]", labels),
+            matrix.shape[0], matrix.shape[1], self.salt & _UINT64_MASK,
+            self.n_shards, ffi.from_buffer("int64_t[]", out, require_writable=True),
+        )
+        return out
 
     # ------------------------------------------------------------------ #
     # dataset partitioning

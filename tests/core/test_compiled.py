@@ -1,15 +1,22 @@
-"""Tests for the compiled flat-array predictor."""
+"""The compiled traversal kernel on hand-built and single trained trees.
+
+Each tree is packed alone (:class:`~repro.core.packed.PackedEnsemble` of
+one tree) and read through the native kernel. Predictions must match a
+walk of the node graph, follow the active variant of a maintenance node,
+and see live leaf counts as soon as they are synced -- without a rebuild.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core.compiled import LEAF_MARKER, CompiledTree
 from repro.core.nodes import Leaf, MaintenanceNode, SplitNode, SubtreeVariant
+from repro.core.packed import LEAF_MARKER, PackedEnsemble
 from repro.core.params import HedgeCutParams
 from repro.core.splits import CategoricalSplit, NumericSplit, SplitStats
-from repro.core.tree import TreeBuilder
+from repro.core.tree import HedgeCutTree, TreeBuilder
+from repro.dataprep.dataset import FeatureKind, FeatureSchema
 
-from tests.conftest import make_random_dataset
+from tests.conftest import make_random_dataset, small_schema
 
 
 def graph_predict(node, values):
@@ -29,11 +36,17 @@ def trained_tree(seed=0, **overrides):
     return dataset, tree
 
 
+def pack_root(root, n_values=4):
+    """A one-tree pack over a single feature with ``n_values`` codes."""
+    schema = (FeatureSchema("x", FeatureKind.NUMERIC, n_values),)
+    return PackedEnsemble([HedgeCutTree(root)], schema)
+
+
 class TestCompilation:
     def test_single_leaf_tree(self):
-        compiled = CompiledTree.from_tree(Leaf(n=4, n_plus=3))
-        assert compiled.feature == [LEAF_MARKER]
-        assert compiled.predict_value((0,)) == 1
+        packed = pack_root(Leaf(n=4, n_plus=3))
+        assert packed.feature.tolist() == [LEAF_MARKER]
+        assert packed.predict_one((0,)) == 1
 
     def test_numeric_split_tree(self):
         root = SplitNode(
@@ -42,9 +55,9 @@ class TestCompilation:
             left=Leaf(5, 5),
             right=Leaf(5, 0),
         )
-        compiled = CompiledTree.from_tree(root)
-        assert compiled.predict_value((2,)) == 1
-        assert compiled.predict_value((3,)) == 0
+        packed = pack_root(root)
+        assert packed.predict_one((2,)) == 1
+        assert packed.predict_one((3,)) == 0
 
     def test_categorical_split_tree(self):
         root = SplitNode(
@@ -53,10 +66,10 @@ class TestCompilation:
             left=Leaf(5, 5),
             right=Leaf(5, 0),
         )
-        compiled = CompiledTree.from_tree(root)
-        assert compiled.predict_value((1,)) == 1
-        assert compiled.predict_value((0,)) == 0
-        assert compiled.predict_value((2,)) == 0
+        packed = pack_root(root, n_values=3)
+        assert packed.predict_one((1,)) == 1
+        assert packed.predict_one((0,)) == 0
+        assert packed.predict_one((2,)) == 0
 
     def test_maintenance_node_resolves_active_variant(self):
         strong = SubtreeVariant(
@@ -74,39 +87,39 @@ class TestCompilation:
             gain=0.1,
         )
         node = MaintenanceNode(variants=[strong, weak], active_index=0)
-        compiled = CompiledTree.from_tree(node)
+        packed = pack_root(node, n_values=6)
         # Active variant "strong": 1 < 4 goes left, positive leaf.
-        assert compiled.predict_value((1,)) == 1
-        # Switch the active variant and recompile: "weak" routes 1 < 2 to
-        # its negative left leaf.
+        assert packed.predict_one((1,)) == 1
+        # Switch the active variant and splice its span in place: "weak"
+        # routes 1 < 2 to its negative left leaf.
         node.active_index = 1
-        recompiled = CompiledTree.from_tree(node)
-        assert recompiled.predict_value((1,)) == 0
+        assert packed.splice_subtree(node) == 0
+        assert packed.predict_one((1,)) == 0
 
 
 class TestEquivalenceWithGraph:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_compiled_matches_graph_on_training_data(self, seed):
         dataset, tree = trained_tree(seed=seed, epsilon=0.02)
-        compiled = CompiledTree.from_tree(tree.root)
+        packed = PackedEnsemble([tree], small_schema())
         for row in range(dataset.n_rows):
             values = dataset.record(row).values
-            assert compiled.predict_value(values) == graph_predict(tree.root, values)
+            assert packed.predict_one(values) == graph_predict(tree.root, values)
 
     def test_compiled_matches_graph_on_unseen_data(self):
         dataset, tree = trained_tree(seed=4)
         other = make_random_dataset(n_rows=100, seed=99)
-        compiled = CompiledTree.from_tree(tree.root)
+        packed = PackedEnsemble([tree], small_schema())
         for row in range(other.n_rows):
             values = other.record(row).values
-            assert compiled.predict_value(values) == graph_predict(tree.root, values)
+            assert packed.predict_one(values) == graph_predict(tree.root, values)
 
     def test_batch_matches_single(self):
         dataset, tree = trained_tree(seed=5)
-        compiled = CompiledTree.from_tree(tree.root)
-        batch = compiled.predict_batch(dataset)
+        packed = PackedEnsemble([tree], small_schema())
+        batch = packed.predict_batch(dataset)
         for row in range(dataset.n_rows):
-            assert batch[row] == compiled.predict_value(dataset.record(row).values)
+            assert batch[row] == packed.predict_one(dataset.record(row).values)
 
 
 class TestLiveLeafStatistics:
@@ -118,17 +131,21 @@ class TestLiveLeafStatistics:
             left=leaf_left,
             right=Leaf(3, 1),
         )
-        compiled = CompiledTree.from_tree(root)
-        assert compiled.predict_value((0,)) == 1
-        # Unlearning decrements the live leaf object; the compiled arrays
-        # reference it, so the majority can flip without recompiling.
+        packed = pack_root(root)
+        arrays = packed.arrays()
+        assert packed.predict_one((0,)) == 1
+        # Unlearning decrements the live leaf object and writes it through
+        # to the flat leaf arrays; the majority flips without a rebuild.
         leaf_left.n = 2
         leaf_left.n_plus = 1
-        assert compiled.predict_value((0,)) == 0
+        packed.sync_leaf(leaf_left)
+        assert packed.predict_one((0,)) == 0
+        assert packed.arrays() is arrays
 
     def test_proba_reads_live_counts(self):
         leaf = Leaf(n=4, n_plus=1)
-        compiled = CompiledTree.from_tree(leaf)
-        assert compiled.predict_proba_value((0,)) == pytest.approx(0.25)
+        packed = pack_root(leaf)
+        assert packed.predict_proba_one((0,)) == pytest.approx(0.25)
         leaf.n_plus = 3
-        assert compiled.predict_proba_value((0,)) == pytest.approx(0.75)
+        packed.sync_leaf(leaf)
+        assert packed.predict_proba_one((0,)) == pytest.approx(0.75)

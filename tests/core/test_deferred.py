@@ -185,7 +185,6 @@ class TestEquivalenceFixedSchedules:
                 report = flush_deferred(pack, node_ids=tagged[: len(tagged) // 2])
                 total += report.variant_switches
                 for index in report.switched_trees:
-                    model._compiled[index] = None
                     model.packed.repack_tree(index)
         total += model.flush_maintenance().variant_switches
         probe = _probe(dataset)
@@ -209,7 +208,6 @@ class TestLearnOneWriteThrough:
     def test_insertion_matches_object_walk(self, dataset):
         packed_model = _fit(dataset)
         object_model = copy.deepcopy(packed_model)
-        object_model.invalidate_compiled()
         object_model._packed = None
         record = dataset.record(250)
         packed_report = packed_model.learn_one(record)

@@ -1,12 +1,14 @@
 """Equivalence and maintenance tests for the packed ensemble kernel.
 
-The packed kernel must be an *exact* drop-in for the per-record prediction
-path: identical labels and bit-for-bit identical probabilities -- on a
-fresh model, in the middle of an unlearning campaign (O(1) leaf
-write-through), after a forced maintenance-variant switch (single-tree
-repack) and across a snapshot/restore round trip. The fast cases run on
-the shared fixtures; the full registry matrix is ``slow``-marked and runs
-under ``make test-all``.
+Every read goes through the native traversal kernel, so it must agree
+*exactly* with two independent references: the pure-Python
+:func:`~repro.core.packed.walk_one` walk over the same flat arrays, and a
+walk of the live node graph. Labels and vote counts must be identical and
+probabilities bit-for-bit identical -- on a fresh model, in the middle of
+an unlearning campaign (O(1) leaf write-through), after a forced
+maintenance-variant switch (span splice) and across a snapshot/restore
+round trip. The fast cases run on the shared fixtures; the full registry
+matrix is ``slow``-marked and runs under ``make test-all``.
 """
 
 import copy
@@ -15,8 +17,8 @@ import numpy as np
 import pytest
 
 from repro.core.ensemble import HedgeCutClassifier
-from repro.core.nodes import MaintenanceNode, SplitNode
-from repro.core.packed import LEAF_MARKER, PackedEnsemble
+from repro.core.nodes import Leaf, MaintenanceNode, SplitNode
+from repro.core.packed import LEAF_MARKER, PackedEnsemble, walk_one
 from repro.datasets.registry import available_datasets, load_dataset
 from repro.evaluation.splits import train_test_split
 from repro.persistence.snapshot import load_snapshot, save_snapshot
@@ -24,32 +26,65 @@ from repro.persistence.snapshot import load_snapshot, save_snapshot
 from tests.conftest import make_random_dataset
 
 
-def _scalar_labels(model, dataset):
-    return np.asarray(
-        [model.predict(dataset.record(row).values) for row in range(dataset.n_rows)],
-        dtype=np.uint8,
-    )
+def walk_reference(arrays, matrix):
+    """``(votes, probabilities)`` per row from the pure-Python walk.
+
+    Probabilities are Python float sums of ``n_plus / n`` in tree order,
+    divided by the tree count: the definition the kernel must reproduce
+    bit for bit.
+    """
+    n_trees = arrays.tree_roots.shape[0]
+    votes = np.zeros(matrix.shape[0], dtype=np.int64)
+    probas = np.zeros(matrix.shape[0], dtype=np.float64)
+    for row, values in enumerate(matrix.tolist()):
+        total = 0.0
+        for tree in range(n_trees):
+            leaf = walk_one(arrays, values, tree)
+            n, n_plus = int(arrays.leaf_n[leaf]), int(arrays.leaf_n_plus[leaf])
+            votes[row] += 2 * n_plus > n
+            total += n_plus / n if n > 0 else 0.5
+        probas[row] = total / n_trees
+    return votes, probas
 
 
-def _scalar_probas(model, dataset):
-    return np.asarray(
-        [model.predict_proba(dataset.record(row).values) for row in range(dataset.n_rows)]
-    )
+def graph_reference(model, matrix):
+    """``(votes, probabilities)`` per row from the live node graph."""
+    votes = np.zeros(matrix.shape[0], dtype=np.int64)
+    probas = np.zeros(matrix.shape[0], dtype=np.float64)
+    for row, values in enumerate(matrix.tolist()):
+        total = 0.0
+        for tree in model.trees:
+            node = tree.root
+            while not isinstance(node, Leaf):
+                if isinstance(node, MaintenanceNode):
+                    node = node.active
+                node = node.child_for_value(values[node.split.feature])
+            votes[row] += node.predict()
+            total += node.n_plus / node.n if node.n > 0 else 0.5
+        probas[row] = total / len(model.trees)
+    return votes, probas
 
 
 def assert_packed_equivalent(model, dataset):
-    """Packed labels/probabilities match the per-record path exactly."""
+    """Batch and per-record reads match both references exactly."""
     matrix = dataset.feature_matrix()
-    assert np.array_equal(model.predict_rows(matrix), _scalar_labels(model, dataset))
-    assert np.array_equal(
-        model.predict_proba_rows(matrix), _scalar_probas(model, dataset)
-    )
+    votes, probas = walk_reference(model.packed.arrays(), matrix)
+    graph_votes, graph_probas = graph_reference(model, matrix)
+    assert np.array_equal(votes, graph_votes)
+    assert np.array_equal(probas, graph_probas)
+    labels = (2 * votes > len(model.trees)).astype(np.uint8)
+    assert np.array_equal(model.predict_votes_rows(matrix), votes)
+    assert np.array_equal(model.predict_rows(matrix), labels)
+    assert np.array_equal(model.predict_proba_rows(matrix), probas)
+    for row, values in enumerate(matrix.tolist()):
+        assert model.predict(values) == labels[row]
+        assert model.predict_proba(values) == probas[row]
 
 
 def _force_variant_switch(model) -> bool:
     """Flip the active variant of the first switchable maintenance node.
 
-    Returns True when a node was switched (and the tree repacked).
+    Returns True when a node was switched (and its span spliced).
     """
     for index, tree in enumerate(model.trees):
         stack = [tree.root]
@@ -74,10 +109,13 @@ class TestFreshEquivalence:
         _, test = income_split
         assert_packed_equivalent(fitted_model_session, test)
 
-    def test_matches_legacy_batch_path(self, fitted_model_session, income_split):
+    def test_matches_walk_one_reference(self, fitted_model_session, income_split):
         _, test = income_split
-        legacy = fitted_model_session.predict_batch_legacy(test)
-        assert np.array_equal(fitted_model_session.predict_batch(test), legacy)
+        votes, _ = walk_reference(
+            fitted_model_session.packed.arrays(), test.feature_matrix()
+        )
+        labels = (2 * votes > fitted_model_session.params.n_trees).astype(np.uint8)
+        assert np.array_equal(fitted_model_session.predict_batch(test), labels)
 
     def test_scalar_walk_matches_per_record(self, fitted_model_session, income_split):
         _, test = income_split
@@ -92,13 +130,16 @@ class TestFreshEquivalence:
     def test_chunked_traversal_is_chunk_size_invariant(
         self, fitted_model_session, income_split
     ):
+        """Rows are independent: any split of a batch gives the same answers."""
         _, test = income_split
         matrix = test.feature_matrix()
-        reference = fitted_model_session.predict_proba_rows(matrix)
-        tiny_chunks = PackedEnsemble(
-            fitted_model_session.trees, fitted_model_session.schema, chunk_rows=7
-        )
-        assert np.array_equal(tiny_chunks.predict_proba_rows(matrix), reference)
+        packed = fitted_model_session.packed
+        reference = packed.predict_proba_rows(matrix)
+        chunked = np.concatenate([
+            packed.predict_proba_rows(matrix[start:start + 7])
+            for start in range(0, matrix.shape[0], 7)
+        ])
+        assert np.array_equal(chunked, reference)
 
 
 class TestStructure:
@@ -122,13 +163,9 @@ class TestStructure:
         assert len(live_rows) == len(set(live_rows))
         assert set(live_rows) <= set(leaf_payloads.tolist())
 
-    def test_rejects_empty_ensemble_and_bad_chunking(self, fitted_model_session):
+    def test_rejects_empty_ensemble(self, fitted_model_session):
         with pytest.raises(ValueError):
             PackedEnsemble([], fitted_model_session.schema)
-        with pytest.raises(ValueError):
-            PackedEnsemble(
-                fitted_model_session.trees, fitted_model_session.schema, chunk_rows=0
-            )
 
     def test_rejects_non_matrix_input(self, fitted_model_session):
         with pytest.raises(ValueError):
@@ -188,13 +225,11 @@ class TestUnlearningMaintenance:
 
 
 class TestSingleRowFastPath:
-    """The n==1 scalar walk must be bit-identical to the chunked kernel.
+    """A single-row request must answer exactly like its row in a batch.
 
-    Single-record requests dominate online serving; the packed entry
-    points special-case them with a plain per-tree walk instead of the
-    level-synchronous frontier machinery. Equivalence is exact, not
-    approximate: the fast path uses the same int64 leaf counts and the
-    same float64 operation order as the vectorised expression.
+    Single-record requests dominate online serving; they go through the
+    same native kernel as batches, with the same int64 leaf counts and
+    the same float64 operation order, so equivalence is exact.
     """
 
     def test_single_row_matrices_match_batch_slices(

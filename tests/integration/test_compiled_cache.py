@@ -1,8 +1,8 @@
-"""The compiled-predictor cache must track unlearning mutations.
+"""The packed read path must track unlearning mutations.
 
-Leaf-count updates flow through live references; variant switches change
-routing structure and must invalidate the affected tree's compiled form.
-These tests drive the deployed-model path end to end: predict (compiling
+Leaf-count updates write through to the pack's leaf arrays; variant
+switches change routing structure and must splice the switched span.
+These tests drive the deployed-model path end to end: predict (packing
 lazily), unlearn until a switch happens, predict again, and cross-check
 every prediction against fresh graph traversal.
 """
@@ -34,19 +34,19 @@ def test_compiled_predictions_track_unlearning_switches():
     model = HedgeCutClassifier(n_trees=5, epsilon=0.05, seed=101)
     model.fit(dataset)
 
-    # Warm the compiled cache.
+    # Build the pack.
     probe_rows = list(range(0, dataset.n_rows, 11))
     for row in probe_rows:
         model.predict(dataset.record(row).values)
 
     # Unlearn until at least one variant switch has occurred (or the
-    # budget runs out -- then the test still verifies cache consistency).
+    # budget runs out -- then the test still verifies pack consistency).
     switches = 0
     for row in range(model.deletion_budget):
         switches += model.unlearn(dataset.record(row)).variant_switches
 
-    # After the mutations, compiled predictions must equal graph traversal
-    # for every probe -- whether or not trees were recompiled.
+    # After the mutations, packed predictions must equal graph traversal
+    # for every probe -- whether or not spans were spliced.
     for row in probe_rows:
         values = dataset.record(row).values
         assert model.predict(values) == graph_vote(model, values)
@@ -56,8 +56,8 @@ def test_compiled_predictions_track_unlearning_switches():
 
 
 def test_leaf_updates_visible_without_structural_switch():
-    """Unlearning that flips a leaf majority must show up in compiled
-    predictions immediately (live leaf references, no recompilation)."""
+    """Unlearning that flips a leaf majority must show up in packed
+    predictions immediately (leaf write-through, no rebuild)."""
     dataset = make_random_dataset(n_rows=200, seed=102)
     model = HedgeCutClassifier(n_trees=1, epsilon=0.2, seed=102)
     model.fit(dataset)

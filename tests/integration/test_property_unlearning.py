@@ -2,14 +2,13 @@
 
 These generate small random datasets and removal sets and assert the two
 behavioural contracts on whole models: statistics always equal a recount
-of the survivors, and the compiled predictor always agrees with the node
+of the survivors, and the packed kernel always agrees with the node
 graph -- across random shapes, class skews and epsilon settings.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.compiled import CompiledTree
 from repro.core.ensemble import HedgeCutClassifier
 from repro.core.nodes import Leaf, MaintenanceNode
 from repro.dataprep.dataset import Dataset, FeatureKind, FeatureSchema
@@ -82,10 +81,10 @@ class TestUnlearningProperties:
                     node = node.child_for_value(values[node.split.feature])
             return node.predict()
 
-        for tree in model.trees:
-            compiled = CompiledTree.from_tree(tree.root)
+        packed = model.packed
+        for index, tree in enumerate(model.trees):
             for row in range(0, dataset.n_rows, 7):
                 values = dataset.record(row).values
-                assert compiled.predict_value(values) == graph_predict(
-                    tree.root, values
-                )
+                leaf = packed._walk_one(values, index)
+                vote = int(2 * packed.leaf_n_plus[leaf] > packed.leaf_n[leaf])
+                assert vote == graph_predict(tree.root, values)

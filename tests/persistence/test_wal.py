@@ -173,6 +173,34 @@ class TestCrashTolerance:
         with pytest.raises(WalCorruptionError):
             WriteAheadLog(tmp_path)
 
+    def test_zero_filled_tail_is_reclaimed(self, tmp_path):
+        """A crash can extend the file without its data landing: the
+        zeroed header reads as an empty frame whose CRC (``crc32(b"")``)
+        checks out. It is a torn tail, not an undecodable record."""
+        with WriteAheadLog(tmp_path) as wal:
+            wal.append(_record(0))
+            wal.append(_record(1))
+            (segment,) = wal.segment_paths()
+        valid_size = segment.stat().st_size
+        with open(segment, "ab") as handle:
+            handle.write(bytes(64))
+        with WriteAheadLog(tmp_path) as wal:
+            assert [e.seq for e in wal.records()] == [1, 2]
+            assert segment.stat().st_size == valid_size
+            wal.append(_record(2))
+            assert [e.seq for e in wal.records()] == [1, 2, 3]
+
+    def test_zero_length_frame_in_sealed_segment_raises(self, tmp_path):
+        with WriteAheadLog(tmp_path) as wal:
+            wal.append(_record(0))
+            wal.rotate()
+            wal.append(_record(1))
+            first = wal.segment_paths()[0]
+        with open(first, "ab") as handle:
+            handle.write(bytes(8))
+        with pytest.raises(WalCorruptionError, match="sealed"):
+            WriteAheadLog(tmp_path)
+
 
 def _middle(data: bytearray) -> int:
     return len(data) // 2

@@ -74,11 +74,14 @@ class TestFlushSpliceUnderConcurrentReads:
 
         segment_name = f"hc-stress-{tmp_path.name[-8:]}"
         matrix = dataset.feature_matrix()[:16]
-        attempting = threading.Event()
+        in_window = threading.Event()
         result: dict = {}
 
         def _reader_main(reader):
-            attempting.set()
+            # Start the read only once the publish is in flight: a native
+            # read takes microseconds, so a thread left to race the
+            # publish could finish before the seqlock even turns odd.
+            assert in_window.wait(timeout=5.0)
             result["probas"] = reader.predict_proba_rows(matrix)
 
         def _fault_hook():
@@ -97,7 +100,7 @@ class TestFlushSpliceUnderConcurrentReads:
                     result["torn_window_observed"] = True
             # Let the concurrent reader thread into the window too before
             # the seqlock seals (its read then completes post-commit).
-            assert attempting.wait(timeout=5.0)
+            in_window.set()
             time.sleep(0.05)
 
         with SharedPackedEnsemble(segment_name, packed) as shared:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dataprep.dataset import Record
+from repro.datasets.registry import load_dataset
 from repro.sharding.partitioner import HashPartitioner, PartitionStats
 
 
@@ -78,6 +79,44 @@ class TestHashPartitioner:
         assert partitioner.shard_of_record(duplicate) == shard
         matrix = np.asarray([values], dtype=np.int64)
         assert partitioner.shards_of_matrix(matrix, [label])[0] == shard
+
+    def test_routing_is_pinned_to_recorded_shards(self):
+        """Stores already on disk were partitioned by the same hash; a
+        change of routing would send their deletions to the wrong shard.
+
+        The table was recorded from the numpy ``uint64`` implementation
+        the native hash replaced: the first 64 rows of the synthetic
+        credit data, for two salts and K in {2, 4} (plus K = 7, which
+        exercises more than the low bits of the digest).
+        """
+        data = load_dataset("credit", n_rows=200, seed=0)
+        matrix = data.feature_matrix()[:64]
+        labels = np.asarray(data.labels[:64])
+        # Guard the fixture itself: the table is only meaningful for
+        # these exact rows.
+        assert matrix[:3].tolist() == [
+            [10, 2, 0, 0, 1, 6, 0, 5],
+            [18, 5, 0, 6, 11, 17, 0, 8],
+            [5, 1, 0, 16, 4, 9, 0, 8],
+        ]
+        for (salt, n_shards), recorded in PINNED_SHARDS.items():
+            expected = [int(shard) for shard in recorded]
+            partitioner = HashPartitioner(n_shards, salt=salt)
+            assert partitioner.shards_of_matrix(matrix, labels).tolist() == expected
+            assert [
+                partitioner.shard_of_record(data.record(row)) for row in range(64)
+            ] == expected
+
+
+#: ``(salt, K) -> shard id per row`` of the pinned-routing test.
+PINNED_SHARDS = {
+    (0, 2): "1100010101110010101110010000111010010000011011001111100001000010",
+    (0, 4): "1320210323312032101330030200311210030200233031221131300023002032",
+    (7, 2): "0011101010001101010001101111000101101111100100110000011110111101",
+    (7, 4): "2013123010021301232003303133022123303133100302112202033310331301",
+    (0, 7): "3345425603401612533152154431563542643263054236023110206134645522",
+    (7, 7): "1150466364001306300150462343606040500131651523150041434525130254",
+}
 
 
 class TestPartitionStats:

@@ -11,7 +11,7 @@ PYTHONPATH := src
 
 export PYTHONPATH
 
-.PHONY: native test test-all bench-smoke bench-inference bench-training bench-unlearning bench-sharding bench-serving bench-online profile-unlearn profile-flush lint
+.PHONY: native test test-all bench-smoke bench-inference bench-training bench-unlearning bench-sharding bench-serving profile-unlearn lint
 
 ## Rebuild the native kernel into its cache with -Wall -Wextra -Werror.
 native:
@@ -52,11 +52,6 @@ bench-unlearning:
 profile-unlearn:
 	$(PYTHON) benchmarks/profile_unlearn.py
 
-## cProfile the deferred-maintenance flush path (deletion campaign with
-## periodic flushes; variant switches splice reserved spans in place).
-profile-flush:
-	$(PYTHON) benchmarks/profile_flush.py
-
 ## SISA sharding benchmark (deletion throughput and predict latency at
 ## K in {1,2,4,8}, K=1 bit-identity and the K=4 >= 2x scaling bar asserted
 ## in-run); machine-readable results land in BENCH_sharding.json.
@@ -69,14 +64,6 @@ bench-sharding:
 ## machine-readable results land in BENCH_serving.json.
 bench-serving:
 	$(PYTHON) benchmarks/bench_serving.py
-
-## Online mixed-stream benchmark (deferred vs eager maintenance on an
-## interleaved insert/delete/predict workload; deferred + flush == eager
-## bit-identity and crash recovery asserted in-run before timing, the
-## >= 2x deletion-throughput bar enforced); machine-readable results
-## land in BENCH_online.json.
-bench-online:
-	$(PYTHON) benchmarks/bench_online.py
 
 ## Static sanity: byte-compile everything (no third-party linter is
 ## vendored in the image) and build the native kernel warning-free.

@@ -23,7 +23,6 @@ from repro.core.exceptions import (
     NotFittedError,
     UnlearningError,
 )
-from repro.core.deferred import MaintenanceFlushReport, flush_deferred
 from repro.core.nodes import Leaf, MaintenanceNode, NodeCensus, SplitNode, census
 from repro.core.packed import PackedEnsemble
 from repro.core.params import HedgeCutParams
@@ -102,21 +101,6 @@ class HedgeCutClassifier:
         topd: number of random, statistics-frozen top levels per tree
             (DaRE-style), see :class:`HedgeCutParams`. ``0`` (default)
             disables the knob.
-        maintenance: ``"eager"`` (default) re-scores every affected
-            maintenance node inside each write, exactly as before --
-            bit-identical to all previous behaviour. ``"deferred"``
-            tags affected nodes in the pack's pending log instead
-            (DynFrs-style): statistic deltas and leaf updates still
-            apply immediately, so predictions against the *current*
-            structure stay exact, and the postponed re-scoring runs at
-            the next :meth:`flush_maintenance`, at the next prediction
-            (unless :attr:`flush_on_predict` is cleared), at the next
-            eager write, or when a node's pending count trips
-            ``maintenance_budget``. ``deferred + flush`` is
-            property-tested bit-identical to eager.
-        maintenance_budget: per-node pending-visit bound in deferred
-            mode; a visited node at or past the bound is flushed inline
-            (``None`` = unbounded).
         seed: ensemble random seed.
 
     Example::
@@ -149,24 +133,8 @@ class HedgeCutClassifier:
         max_maintenance_depth: int | None = 1,
         topd: int = 0,
         n_jobs: int = 1,
-        maintenance: str = "eager",
-        maintenance_budget: int | None = None,
         seed: int | None = None,
     ) -> None:
-        if maintenance not in ("eager", "deferred"):
-            raise ValueError(
-                f"maintenance must be 'eager' or 'deferred', got {maintenance!r}"
-            )
-        #: Default write-path maintenance mode; any write call can
-        #: override it per-operation via its ``maintenance=`` argument.
-        self.maintenance = maintenance
-        #: Per-node pending bound for deferred mode (``None`` = unbounded).
-        self.maintenance_budget = maintenance_budget
-        #: When True (default) every prediction entry point drains the
-        #: pending maintenance log first, so reads never observe stale
-        #: variant choices. Clear it to let staleness accrue (measured
-        #: serving experiments) and flush explicitly.
-        self.flush_on_predict = True
         self.params = HedgeCutParams(
             n_trees=n_trees,
             epsilon=epsilon,
@@ -279,37 +247,19 @@ class HedgeCutClassifier:
             self._packed = PackedEnsemble(self._trees, self.schema)
         return self._packed
 
-    def _maybe_flush_for_read(self) -> None:
-        """Drain pending deferred maintenance before serving a read.
-
-        Lazy trigger (a) of the deferred design: a prediction must not
-        observe a variant choice that postponed re-scoring would have
-        revised. Flushing everything pending on any read is the
-        conservative form of "flush the tagged nodes the batch routes
-        through" -- it keeps reads exactly eager-equivalent without
-        per-row tag probes on the hot path. No-op in eager mode, when
-        nothing is pending, or when :attr:`flush_on_predict` is cleared
-        (accepted-staleness serving).
-        """
-        if self.flush_on_predict and self._has_pending_maintenance():
-            self.flush_maintenance()
-
     def predict(self, record: Record | Sequence[int] | np.ndarray) -> int:
         """Majority-vote label for one encoded record."""
         self._require_fitted()
-        self._maybe_flush_for_read()
         return self.packed.predict_one(_as_values(record))
 
     def predict_proba(self, record: Record | Sequence[int] | np.ndarray) -> float:
         """Mean positive-class probability across the trees (soft vote)."""
         self._require_fitted()
-        self._maybe_flush_for_read()
         return self.packed.predict_proba_one(_as_values(record))
 
     def predict_batch(self, dataset: Dataset) -> np.ndarray:
         """Majority-vote labels for a whole dataset (packed kernel)."""
         self._require_fitted()
-        self._maybe_flush_for_read()
         return self.packed.predict_batch(dataset)
 
     def predict_proba_batch(self, dataset: Dataset) -> np.ndarray:
@@ -320,7 +270,6 @@ class HedgeCutClassifier:
         same order), at batch speed.
         """
         self._require_fitted()
-        self._maybe_flush_for_read()
         return self.packed.predict_proba_batch(dataset)
 
     def predict_rows(self, values: np.ndarray) -> np.ndarray:
@@ -330,13 +279,11 @@ class HedgeCutClassifier:
         collects raw encoded requests rather than :class:`Dataset` objects.
         """
         self._require_fitted()
-        self._maybe_flush_for_read()
         return self.packed.predict_rows(values)
 
     def predict_proba_rows(self, values: np.ndarray) -> np.ndarray:
         """Soft-vote probabilities for an ``(n_rows, n_features)`` code matrix."""
         self._require_fitted()
-        self._maybe_flush_for_read()
         return self.packed.predict_proba_rows(values)
 
     def predict_votes_rows(self, values: np.ndarray) -> np.ndarray:
@@ -347,7 +294,6 @@ class HedgeCutClassifier:
         across shards and apply the majority threshold once, globally.
         """
         self._require_fitted()
-        self._maybe_flush_for_read()
         return self.packed.predict_votes_rows(values)
 
     # ------------------------------------------------------------------ #
@@ -369,65 +315,6 @@ class HedgeCutClassifier:
         self._require_fitted()
         return max(0, self._deletion_budget - self._n_unlearned)
 
-    # ------------------------------------------------------------------ #
-    # deferred maintenance (lazy tag-and-defer mode)
-    # ------------------------------------------------------------------ #
-
-    def _resolve_maintenance(self, maintenance: str | None) -> bool:
-        """Resolve a per-call maintenance override to ``deferred?``."""
-        mode = self.maintenance if maintenance is None else maintenance
-        if mode not in ("eager", "deferred"):
-            raise ValueError(
-                f"maintenance must be 'eager' or 'deferred', got {mode!r}"
-            )
-        return mode == "deferred"
-
-    def _has_pending_maintenance(self) -> bool:
-        """Whether deferred visits await a flush (without building packs)."""
-        packed = self._packed
-        if packed is None:
-            return False
-        pack = packed._unlearn_pack
-        return pack is not None and bool(pack.pending_mnode)
-
-    @property
-    def pending_maintenance_nodes(self) -> int:
-        """Tagged maintenance nodes awaiting a deferred flush."""
-        packed = self._packed
-        if packed is None or packed._unlearn_pack is None:
-            return 0
-        return packed._unlearn_pack.n_pending_nodes
-
-    @property
-    def pending_maintenance_visits(self) -> int:
-        """Pending (node, operation) visits awaiting a deferred flush.
-
-        This is the model's staleness measure: the number of postponed
-        re-scores a flush will replay.
-        """
-        packed = self._packed
-        if packed is None or packed._unlearn_pack is None:
-            return 0
-        return packed._unlearn_pack.n_pending_visits
-
-    def flush_maintenance(self) -> MaintenanceFlushReport:
-        """Drain the pending maintenance log (lazy trigger (b)).
-
-        Replays every postponed re-score in arrival order through the
-        vectorised flush kernel, repacks the trees whose active variant
-        ended up different, and untags all nodes. After the flush the
-        model is bit-identical -- gains, active variants, probabilities,
-        cumulative switch counts -- to one that had run the same
-        operations eagerly. No-op (empty report) when nothing is
-        pending.
-        """
-        if not self._has_pending_maintenance():
-            return MaintenanceFlushReport()
-        assert self._packed is not None
-        report = flush_deferred(self._packed.unlearn_pack())
-        self._apply_switches(report.switched_nodes)
-        return report
-
     def _apply_switches(self, switched_nodes) -> None:
         """Propagate variant switches into the packed form.
 
@@ -446,7 +333,6 @@ class HedgeCutClassifier:
         record: Record,
         allow_budget_overrun: bool = False,
         path: str = "auto",
-        maintenance: str | None = None,
     ) -> UnlearningReport:
         """Remove one training record from the deployed model, in place.
 
@@ -468,39 +354,21 @@ class HedgeCutClassifier:
                 the fast path, building the packs if needed; ``"object"``
                 forces the reference object walk. All paths produce
                 bit-identical models and reports.
-            maintenance: per-call override of the model's maintenance
-                mode (``"eager"``/``"deferred"``; ``None`` = the model
-                default). Deferred deletions always go through the
-                packed fast path.
 
         Returns:
-            an :class:`UnlearningReport` aggregated over all trees. A
-            deferred deletion's ``variant_switches`` counts only
-            budget-trip flushes; the cumulative count catches up at the
-            next flush.
+            an :class:`UnlearningReport` aggregated over all trees.
         """
         if path not in ("auto", "fast", "object"):
             raise ValueError(f"path must be 'auto', 'fast' or 'object', got {path!r}")
         self._require_fitted()
-        deferred = self._resolve_maintenance(maintenance)
-        if deferred and path == "object":
-            raise ValueError(
-                "deferred maintenance requires the packed write path; "
-                "use path='auto' or path='fast'"
-            )
         self._validate_unlearn_record(record)
         if self._n_unlearned >= self._deletion_budget and not allow_budget_overrun:
             raise DeletionBudgetExhausted(
                 f"the deletion budget of {self._deletion_budget} records is "
                 f"exhausted; retrain the model or pass allow_budget_overrun=True"
             )
-        if not deferred:
-            # Lazy trigger: an eager write drains the pending log first,
-            # so its own re-scoring starts from flushed (eager-identical)
-            # gains and active variants.
-            self.flush_maintenance()
-        if path == "fast" or deferred or (path == "auto" and self._packed is not None):
-            return self._unlearn_one_fast(record, deferred=deferred)
+        if path == "fast" or (path == "auto" and self._packed is not None):
+            return self._unlearn_one_fast(record)
 
         # Object path. Plan (and validate) the removal against every tree
         # before applying it to any of them: a record inconsistent with the
@@ -520,17 +388,13 @@ class HedgeCutClassifier:
         self._n_unlearned += 1
         return report
 
-    def _unlearn_one_fast(
-        self, record: Record, deferred: bool = False
-    ) -> UnlearningReport:
+    def _unlearn_one_fast(self, record: Record) -> UnlearningReport:
         """One validated deletion through the scalar packed fast path.
 
         Mirrors the decrements straight into the unlearn pack's flat
         arrays (no staleness marking -- the mirrors stay fresh), syncs
         mutated leaves into the read pack's arrays vectorised, and
-        repacks only switched trees, exactly like the batch kernel. In
-        deferred mode the re-score and mirror write-through are tagged
-        instead (see :func:`~repro.core.unlearn_fast.unlearn_one_packed`).
+        repacks only switched trees, exactly like the batch kernel.
         """
         packed = self.packed
         result = unlearn_one_packed(
@@ -538,8 +402,6 @@ class HedgeCutClassifier:
             record.values,
             record.label,
             read_pack=packed,
-            deferred=deferred,
-            maintenance_budget=self.maintenance_budget if deferred else None,
         )
         self._apply_switches(result.switched_nodes)
         self._n_unlearned += 1
@@ -561,7 +423,6 @@ class HedgeCutClassifier:
         self,
         records: Iterable[Record],
         allow_budget_overrun: bool = False,
-        maintenance: str | None = None,
     ) -> UnlearningReport:
         """Unlearn a batch of records, aggregating the reports.
 
@@ -586,18 +447,13 @@ class HedgeCutClassifier:
         merged reports for batches that succeed.
         """
         self._require_fitted()
-        deferred = self._resolve_maintenance(maintenance)
         records = records if isinstance(records, list) else list(records)
         if len(records) == 1:
             # Degenerate batch: identical semantics (validation, budget,
             # atomicity, report) to a single unlearn call, so delegate and
             # skip the batch scaffolding -- keeps unlearn_batch([r]) at
             # scalar-path latency.
-            return self.unlearn(
-                records[0],
-                allow_budget_overrun=allow_budget_overrun,
-                maintenance="deferred" if deferred else "eager",
-            )
+            return self.unlearn(records[0], allow_budget_overrun=allow_budget_overrun)
         for record in records:
             self._validate_unlearn_record(record)
         remaining = self._deletion_budget - self._n_unlearned
@@ -609,20 +465,14 @@ class HedgeCutClassifier:
             )
         if not records:
             return UnlearningReport()
-        if not deferred:
-            self.flush_maintenance()
-        if deferred or self._packed is not None:
-            return self._unlearn_batch_packed(records, deferred=deferred)
+        if self._packed is not None:
+            return self._unlearn_batch_packed(records)
         total = UnlearningReport()
         for record in records:
-            total.merge(
-                self.unlearn(record, allow_budget_overrun=True, maintenance="eager")
-            )
+            total.merge(self.unlearn(record, allow_budget_overrun=True))
         return total
 
-    def _unlearn_batch_packed(
-        self, records: list[Record], deferred: bool = False
-    ) -> UnlearningReport:
+    def _unlearn_batch_packed(self, records: list[Record]) -> UnlearningReport:
         """Apply one validated batch through the packed write path.
 
         Adaptive dispatch: small batches loop the scalar fast path (same
@@ -630,7 +480,6 @@ class HedgeCutClassifier:
         vectorised kernel.
         """
         packed = self.packed
-        budget = self.maintenance_budget if deferred else None
         if len(records) < self.small_batch_threshold:
             values = np.asarray(
                 [record.values for record in records], dtype=np.int64
@@ -639,8 +488,6 @@ class HedgeCutClassifier:
             result = unlearn_small_batch(
                 packed.unlearn_pack(), values, labels,
                 read_pack=packed,
-                deferred=deferred,
-                maintenance_budget=budget,
             )
         else:
             values = np.asarray(
@@ -650,8 +497,6 @@ class HedgeCutClassifier:
             result = unlearn_batch_packed(
                 packed.unlearn_pack(), values, labels,
                 leaf_sink=packed.sync_leaf,
-                deferred=deferred,
-                maintenance_budget=budget,
             )
         self._apply_switches(result.switched_nodes)
         self._n_unlearned += len(records)
@@ -661,9 +506,7 @@ class HedgeCutClassifier:
     # online learning extension (Section 8 future work)
     # ------------------------------------------------------------------ #
 
-    def learn_one(
-        self, record: Record, maintenance: str | None = None
-    ) -> UnlearningReport:
+    def learn_one(self, record: Record) -> UnlearningReport:
         """Incorporate one *new* record into the leaf and split statistics.
 
         This is the insertion counterpart of Algorithm 4 and implements the
@@ -674,14 +517,11 @@ class HedgeCutClassifier:
         invalidate robustness certificates, so models under sustained
         insertion load should still be retrained periodically.
 
-        When the packed kernel has been built (or deferred mode forces
-        it), insertions get the same O(1) write-through deletions have:
-        leaf increments land directly in the read pack's arrays and a
-        repack happens only when a variant actually switches -- the old
-        behaviour of marking the whole pack stale (full re-gather on the
-        next predict) is gone. Deferred mode tags the visited
-        maintenance nodes instead of re-scoring, exactly like deferred
-        deletions.
+        When the packed kernel has been built, insertions get the same
+        O(1) write-through deletions have: leaf increments land directly
+        in the read pack's arrays and a repack happens only when a
+        variant actually switches -- the old behaviour of marking the
+        whole pack stale (full re-gather on the next predict) is gone.
 
         Returns:
             an :class:`UnlearningReport` aggregated over all trees, the
@@ -689,18 +529,13 @@ class HedgeCutClassifier:
             visit tallies, ``variant_switches``).
         """
         self._require_fitted()
-        deferred = self._resolve_maintenance(maintenance)
-        if not deferred:
-            self.flush_maintenance()
-        if deferred or self._packed is not None:
+        if self._packed is not None:
             packed = self.packed
             result = learn_one_packed(
                 packed.unlearn_pack(),
                 record.values,
                 record.label,
                 read_pack=packed,
-                deferred=deferred,
-                maintenance_budget=self.maintenance_budget if deferred else None,
             )
             self._apply_switches(result.switched_nodes)
             return result.report
@@ -775,15 +610,8 @@ class HedgeCutClassifier:
         return model
 
     def save(self, path: str | Path) -> None:
-        """Serialise the fitted model (including pending unlearning state).
-
-        Pending deferred maintenance is flushed first: the serialised
-        object graph carries gains and active variants but not the
-        pending log, so a load must land on the flushed (eager-identical)
-        state.
-        """
+        """Serialise the fitted model (including its unlearning state)."""
         self._require_fitted()
-        self.flush_maintenance()
         state = {
             "params": self.params,
             "trees": self._trees,

@@ -873,15 +873,6 @@ class PackedEnsemble:
     # ------------------------------------------------------------------ #
 
     def __getstate__(self) -> dict:
-        if self._unlearn_pack is not None and self._unlearn_pack.has_pending:
-            # The pending deferred-maintenance log lives on the unlearn
-            # pack, which does not travel; a copy taken now would carry
-            # stale gains with no tags left to fix them. Callers flush
-            # first (HedgeCutClassifier.save does).
-            raise RuntimeError(
-                "cannot pickle or deepcopy a PackedEnsemble with pending "
-                "deferred maintenance; flush_maintenance() first"
-            )
         return {"roots": self._roots, "width": self._width}
 
     def __setstate__(self, state: dict) -> None:

@@ -111,20 +111,6 @@ class UnlearnPack:
         self._emit(roots)
         self._stale = False
         self.refresh()
-        # Deferred-maintenance state (DynFrs-style tag-and-defer): write
-        # paths running with ``maintenance="deferred"`` log the record and
-        # its maintenance-node visits here instead of re-scoring; counts
-        # and mirrors still update per write, so the flush kernel
-        # (:mod:`repro.core.deferred`) replays the per-node visit
-        # trajectories later against current mirrors without a regather.
-        # ``_pending_count`` is the per-node tag column: pending visits
-        # per maintenance node, driving the per-node flush budget.
-        self.pending_values: list[list[int]] = []
-        self.pending_positive: list[bool] = []
-        self.pending_sign: list[int] = []
-        self.pending_mnode: list[int] = []
-        self.pending_rec: list[int] = []
-        self._pending_count: list[int] = [0] * len(self.mnodes)
 
     # ------------------------------------------------------------------ #
     # emission
@@ -301,70 +287,12 @@ class UnlearnPack:
         """Refresh the count mirrors if object-path mutations staled them.
 
         Readers of the flat count arrays (the batch kernel's validation,
-        the flush kernel's trajectory replay, the scalar write paths) call
-        this; every scalar packed write path keeps the mirrors current
-        inline, deferred or not, so it is a no-op on the hot paths.
+        the scalar write paths) call this; every scalar packed write path
+        keeps the mirrors current inline, so it is a no-op on the hot
+        paths.
         """
         if self._stale:
             self.refresh()
-
-    # ------------------------------------------------------------------ #
-    # deferred-maintenance pending log
-    # ------------------------------------------------------------------ #
-
-    @property
-    def has_pending(self) -> bool:
-        return bool(self.pending_mnode)
-
-    @property
-    def n_pending_nodes(self) -> int:
-        """Number of currently tagged (pending) maintenance nodes."""
-        return sum(1 for count in self._pending_count if count)
-
-    @property
-    def n_pending_visits(self) -> int:
-        return len(self.pending_mnode)
-
-    def note_deferred(
-        self, values: list[int], positive: bool, sign: int, mnode_ids: list[int]
-    ) -> None:
-        """Append one deferred operation's visits to the pending log.
-
-        ``sign`` is ``-1`` for a deletion and ``+1`` for an insertion; the
-        flush kernel replays the signed deltas in arrival order, which is
-        exactly the order the eager path would have re-scored in.
-        """
-        rec = len(self.pending_values)
-        self.pending_values.append(values)
-        self.pending_positive.append(positive)
-        self.pending_sign.append(sign)
-        self.pending_mnode.extend(mnode_ids)
-        self.pending_rec.extend([rec] * len(mnode_ids))
-        counts = self._pending_count
-        for mnode_id in mnode_ids:
-            counts[mnode_id] += 1
-
-    def truncate_pending(self, n_records: int, n_visits: int) -> None:
-        """Roll the pending log back to a recorded watermark.
-
-        Used by the small-batch deferred path to discard the visits of
-        records undone by a mid-batch failure.
-        """
-        for mnode_id in self.pending_mnode[n_visits:]:
-            self._pending_count[mnode_id] -= 1
-        del self.pending_mnode[n_visits:]
-        del self.pending_rec[n_visits:]
-        del self.pending_values[n_records:]
-        del self.pending_positive[n_records:]
-        del self.pending_sign[n_records:]
-
-    def clear_pending(self) -> None:
-        self.pending_values = []
-        self.pending_positive = []
-        self.pending_sign = []
-        self.pending_mnode = []
-        self.pending_rec = []
-        self._pending_count = [0] * len(self.mnodes)
 
     @property
     def n_stats(self) -> int:
@@ -388,8 +316,6 @@ def unlearn_batch_packed(
     values: np.ndarray,
     labels: np.ndarray,
     leaf_sink: LeafSink | None = None,
-    deferred: bool = False,
-    maintenance_budget: int | None = None,
 ) -> BatchUnlearnResult:
     """Remove a whole batch of records from the packed ensemble at once.
 
@@ -399,13 +325,6 @@ def unlearn_batch_packed(
         labels: ``(n_records,)`` 0/1 labels.
         leaf_sink: invoked once per *distinct* mutated leaf after its
             decrement (the inference pack's O(1) write-through).
-        deferred: tag-and-defer mode -- counts and leaves update exactly
-            as in eager mode, but maintenance re-scoring (phase 4) is
-            skipped and the visits are appended to the pack's pending log
-            for a later :func:`~repro.core.deferred.flush_deferred`.
-        maintenance_budget: in deferred mode, nodes whose pending-visit
-            count reaches this bound are flushed immediately (their
-            switches fold into the returned report).
 
     Returns:
         The aggregated report and the tree indices needing a repack.
@@ -581,25 +500,7 @@ def unlearn_batch_packed(
     visit_mnodes = _concat(visit_mnode_chunks, np.intp)
     visit_recs = _concat(visit_rec_chunks, np.intp)
     maintenance_visits = int(visit_mnodes.shape[0])
-    if maintenance_visits and deferred:
-        # Tag-and-defer: log the visits (in record order, which is the
-        # order the eager path re-scores in) instead of replaying the
-        # trajectories now. The count write-back below still runs, so the
-        # mirrors stay fresh along this path.
-        order = np.argsort(visit_recs, kind="stable")
-        rec_base = len(pack.pending_values)
-        pack.pending_values.extend(values.tolist())
-        pack.pending_positive.extend(positive.tolist())
-        pack.pending_sign.extend([-1] * n_records)
-        deferred_mnodes = visit_mnodes[order].tolist()
-        pack.pending_mnode.extend(deferred_mnodes)
-        pack.pending_rec.extend(
-            (visit_recs[order] + rec_base).tolist()
-        )
-        counts = pack._pending_count
-        for mnode_id in deferred_mnodes:
-            counts[mnode_id] += 1
-    if maintenance_visits and not deferred:
+    if maintenance_visits:
         # Sort by (node, record): the secondary key restores batch order,
         # which is the order the scalar loop re-scores in.
         order = np.lexsort((visit_recs, visit_mnodes))
@@ -734,23 +635,6 @@ def unlearn_batch_packed(
         for index, variant in enumerate(node.variants):
             variant.gain = float(gains[index])
         node.active_index = final
-
-    if deferred and maintenance_budget is not None:
-        tripped = [
-            mnode_id
-            for mnode_id in set(pack.pending_mnode)
-            if pack._pending_count[mnode_id] >= maintenance_budget
-        ]
-        if tripped:
-            from repro.core.deferred import flush_deferred
-
-            flushed = flush_deferred(pack, node_ids=tripped)
-            variant_switches += flushed.variant_switches
-            switched_trees.update(flushed.switched_trees)
-            switched_nodes.extend(
-                node for node in flushed.switched_nodes
-                if not any(node is seen for seen in switched_nodes)
-            )
 
     report = UnlearningReport(
         leaves_updated=int(leaf_rows.shape[0]),

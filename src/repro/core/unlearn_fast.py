@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.deferred import flush_deferred
 from repro.core.exceptions import UnlearningError
 from repro.core.unlearn_batch import BatchUnlearnResult, UnlearnPack
 from repro.core.unlearning import LeafSink, UnlearningReport
@@ -319,35 +318,12 @@ def _sync_leaves(pack: UnlearnPack, leaf_ids, read_pack) -> None:
             leaf_n_plus[row] = leaf.n_plus
 
 
-def _budget_trip(
-    pack: UnlearnPack, mnode_ids, maintenance_budget: int | None
-):
-    """Flush any just-visited node whose pending count hit the budget.
-
-    Returns the :class:`~repro.core.deferred.MaintenanceFlushReport` of
-    the partial flush, or ``None`` when no node tripped.
-    """
-    if maintenance_budget is None:
-        return None
-    counts = pack._pending_count
-    tripped = [
-        mnode_id
-        for mnode_id in set(mnode_ids)
-        if counts[mnode_id] >= maintenance_budget
-    ]
-    if not tripped:
-        return None
-    return flush_deferred(pack, node_ids=tripped)
-
-
 def unlearn_one_packed(
     pack: UnlearnPack,
     values,
     label: int,
     leaf_sink: LeafSink | None = None,
     read_pack=None,
-    deferred: bool = False,
-    maintenance_budget: int | None = None,
 ) -> BatchUnlearnResult:
     """Remove one record through the pack's scalar mirrors.
 
@@ -362,26 +338,12 @@ def unlearn_one_packed(
             leaves are set-synced into its arrays in one post-walk loop
             (:func:`_sync_leaves`) instead of per-leaf ``leaf_sink``
             callbacks inside the traversal.
-        deferred: tag-and-defer mode. Object counts, the count mirrors
-            and the read pack's leaf mirrors update exactly as in eager
-            mode (predictions against the current structure stay exact,
-            and a later flush reads current mirrors without regathering),
-            but the maintenance re-score loop is skipped -- the visited
-            nodes are tagged in the pack's pending log for a later
-            :func:`~repro.core.deferred.flush_deferred`. This is where
-            the deferred deletion speedup comes from: the per-delete
-            cost shrinks to the validating walk plus cheap count writes.
-        maintenance_budget: in deferred mode, visited nodes whose pending
-            count reaches this bound are flushed immediately; their
-            switches fold into the returned report.
 
     Returns:
         A :class:`BatchUnlearnResult` whose report is bit-identical to
         looping :func:`~repro.core.unlearning.unlearn_from_tree` over the
         trees, and whose ``switched_trees`` lists the trees whose active
-        variant changed (the caller repacks them). In deferred mode
-        ``variant_switches`` counts only budget-trip flushes; the
-        cumulative count catches up at the next full flush.
+        variant changed (the caller repacks them).
 
     Raises:
         UnlearningError: when the record is inconsistent with the trees;
@@ -400,23 +362,14 @@ def unlearn_one_packed(
     switched_nodes: list = []
     variant_rows = 0
     fan_lens = pack.scalar_fan_lens
-    if deferred:
-        for mnode_id in mnode_ids:
-            variant_rows += fan_lens[mnode_id]
-        pack.note_deferred(values, positive, -1, mnode_ids)
-    else:
-        mnodes = pack.mnodes
-        mnode_tree = pack.mnode_tree
-        for mnode_id in mnode_ids:
-            variant_rows += fan_lens[mnode_id]
-            if _rescore_fast(mnodes[mnode_id]):
-                variant_switches += 1
-                switched.append(int(mnode_tree[mnode_id]))
-                switched_nodes.append(mnodes[mnode_id])
-    # The mirror write-through runs in BOTH modes: it is a handful of
-    # fancy-indexed scalar adds, and keeping the count mirrors current
-    # means a later flush never has to regather them from the objects
-    # (which would cost O(model), dwarfing everything deferred saved).
+    mnodes = pack.mnodes
+    mnode_tree = pack.mnode_tree
+    for mnode_id in mnode_ids:
+        variant_rows += fan_lens[mnode_id]
+        if _rescore_fast(mnodes[mnode_id]):
+            variant_switches += 1
+            switched.append(int(mnode_tree[mnode_id]))
+            switched_nodes.append(mnodes[mnode_id])
     _write_through(pack, positive, stat_rows, stat_rows_left, leaf_ids)
     if read_pack is not None:
         _sync_leaves(pack, leaf_ids, read_pack)
@@ -424,12 +377,6 @@ def unlearn_one_packed(
         leaf_objects = pack.leaf_objects
         for leaf_id in leaf_ids:
             leaf_sink(leaf_objects[leaf_id])
-    if deferred:
-        flushed = _budget_trip(pack, mnode_ids, maintenance_budget)
-        if flushed is not None:
-            variant_switches += flushed.variant_switches
-            switched.extend(flushed.switched_trees)
-            switched_nodes.extend(flushed.switched_nodes)
 
     report = UnlearningReport(
         leaves_updated=len(leaf_ids),
@@ -451,8 +398,6 @@ def unlearn_small_batch(
     labels: np.ndarray,
     leaf_sink: LeafSink | None = None,
     read_pack=None,
-    deferred: bool = False,
-    maintenance_budget: int | None = None,
 ) -> BatchUnlearnResult:
     """Loop the scalar core over a small batch, whole-batch atomically.
 
@@ -463,18 +408,11 @@ def unlearn_small_batch(
     each, exactly like the sequential scalar loop, so
     ``variant_switches`` matches both other paths.
 
-    In deferred mode the per-record re-score is skipped and the visits
-    accumulate in the pack's pending log (see :func:`unlearn_one_packed`;
-    counts and mirrors still update per record); per-node budget trips
-    are evaluated only after the whole batch lands, preserving
-    whole-batch atomicity.
-
     On a mid-batch inconsistency every prior record is rolled back:
     counts are re-incremented on the object and mirror sides (including
     the read pack, via ``read_pack`` or ``leaf_sink``), and first-touch
     snapshots restore every re-scored maintenance node's gains and
-    active variant (in deferred mode there are no re-scores to restore;
-    the pending log is truncated to its pre-batch watermark instead).
+    active variant.
     """
     pack.ensure_fresh()
     values = np.asarray(values, dtype=np.int64)
@@ -488,8 +426,6 @@ def unlearn_small_batch(
     report = UnlearningReport()
     rows_list = values.tolist()
     labels_list = labels.tolist()
-    pending_records0 = len(pack.pending_values)
-    pending_visits0 = len(pack.pending_mnode)
 
     try:
         for row_values, label in zip(rows_list, labels_list):
@@ -501,24 +437,17 @@ def unlearn_small_batch(
             switches = 0
             variant_rows = 0
             fan_lens = pack.scalar_fan_lens
-            if deferred:
-                for mnode_id in mnode_ids:
-                    variant_rows += fan_lens[mnode_id]
-                pack.note_deferred(row_values, positive, -1, mnode_ids)
-            else:
-                for mnode_id in mnode_ids:
-                    node = pack.mnodes[mnode_id]
-                    variant_rows += fan_lens[mnode_id]
-                    if mnode_id not in mnode_snapshots:
-                        mnode_snapshots[mnode_id] = (
-                            tuple(variant.gain for variant in node.variants),
-                            node.active_index,
-                        )
-                        pre_batch_active[mnode_id] = node.active_index
-                    if _rescore_fast(node):
-                        switches += 1
-            # Both modes write the mirrors through (see unlearn_one_packed:
-            # a lazily regathered mirror would cost O(model) at flush time).
+            for mnode_id in mnode_ids:
+                node = pack.mnodes[mnode_id]
+                variant_rows += fan_lens[mnode_id]
+                if mnode_id not in mnode_snapshots:
+                    mnode_snapshots[mnode_id] = (
+                        tuple(variant.gain for variant in node.variants),
+                        node.active_index,
+                    )
+                    pre_batch_active[mnode_id] = node.active_index
+                if _rescore_fast(node):
+                    switches += 1
             _write_through(pack, positive, stat_rows, stat_rows_left, leaf_ids)
             if read_pack is not None:
                 _sync_leaves(pack, leaf_ids, read_pack)
@@ -560,8 +489,6 @@ def unlearn_small_batch(
             _write_through(
                 pack, positive, stat_rows, stat_rows_left, leaf_ids, sign=1
             )
-        if deferred:
-            pack.truncate_pending(pending_records0, pending_visits0)
         for mnode_id, (gains, active_index) in mnode_snapshots.items():
             node = pack.mnodes[mnode_id]
             for variant, gain in zip(node.variants, gains):
@@ -579,14 +506,6 @@ def unlearn_small_batch(
         for mnode_id, active0 in pre_batch_active.items()
         if pack.mnodes[mnode_id].active_index != active0
     ]
-    if deferred:
-        flushed = _budget_trip(
-            pack, pack.pending_mnode[pending_visits0:], maintenance_budget
-        )
-        if flushed is not None:
-            report.variant_switches += flushed.variant_switches
-            switched_trees.update(flushed.switched_trees)
-            switched_nodes.extend(flushed.switched_nodes)
     return BatchUnlearnResult(
         report=report,
         switched_trees=tuple(sorted(switched_trees)),
@@ -694,23 +613,19 @@ def learn_one_packed(
     label: int,
     leaf_sink: LeafSink | None = None,
     read_pack=None,
-    deferred: bool = False,
-    maintenance_budget: int | None = None,
 ) -> BatchUnlearnResult:
     """Insert one record through the pack's scalar mirrors.
 
     The write-through counterpart of :func:`unlearn_one_packed` for
     insertions: O(leaf-path) count increments on the live objects, the
-    same eager re-score over the visited maintenance nodes (or a pending
-    tag in deferred mode), and the same leaf sync into the inference
-    pack -- no structural change, so no repack unless a variant
-    switches. This replaces the old ``learn_one`` behaviour of marking
+    same re-score over the visited maintenance nodes, and the same
+    leaf sync into the inference pack -- no structural change, so no
+    repack unless a variant switches. This replaces the old ``learn_one`` behaviour of marking
     the whole packed ensemble stale and repacking on the next predict.
 
     Parameters and return semantics match :func:`unlearn_one_packed`
-    (``switched_trees`` lists trees to repack; in deferred mode visited
-    nodes are tagged with a ``+1`` pending visit, budget trips flush
-    inline). Insertions cannot fail validation, so no exception path.
+    (``switched_trees`` lists trees to repack). Insertions cannot fail
+    validation, so no exception path.
     """
     pack.ensure_fresh()
     if isinstance(values, np.ndarray):
@@ -725,20 +640,14 @@ def learn_one_packed(
     switched_nodes: list = []
     variant_rows = 0
     fan_lens = pack.scalar_fan_lens
-    if deferred:
-        for mnode_id in mnode_ids:
-            variant_rows += fan_lens[mnode_id]
-        pack.note_deferred(values, positive, 1, mnode_ids)
-    else:
-        mnodes = pack.mnodes
-        mnode_tree = pack.mnode_tree
-        for mnode_id in mnode_ids:
-            variant_rows += fan_lens[mnode_id]
-            if _rescore_fast(mnodes[mnode_id]):
-                variant_switches += 1
-                switched.append(int(mnode_tree[mnode_id]))
-                switched_nodes.append(mnodes[mnode_id])
-    # Mirrors stay current in both modes (see unlearn_one_packed).
+    mnodes = pack.mnodes
+    mnode_tree = pack.mnode_tree
+    for mnode_id in mnode_ids:
+        variant_rows += fan_lens[mnode_id]
+        if _rescore_fast(mnodes[mnode_id]):
+            variant_switches += 1
+            switched.append(int(mnode_tree[mnode_id]))
+            switched_nodes.append(mnodes[mnode_id])
     _write_through(pack, positive, stat_rows, stat_rows_left, leaf_ids, sign=1)
     if read_pack is not None:
         _sync_leaves(pack, leaf_ids, read_pack)
@@ -746,12 +655,6 @@ def learn_one_packed(
         leaf_objects = pack.leaf_objects
         for leaf_id in leaf_ids:
             leaf_sink(leaf_objects[leaf_id])
-    if deferred:
-        flushed = _budget_trip(pack, mnode_ids, maintenance_budget)
-        if flushed is not None:
-            variant_switches += flushed.variant_switches
-            switched.extend(flushed.switched_trees)
-            switched_nodes.extend(flushed.switched_nodes)
 
     report = UnlearningReport(
         leaves_updated=len(leaf_ids),

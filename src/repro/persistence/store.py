@@ -16,10 +16,9 @@ Replay applies each logged operation exactly as the original request did
 (same ``allow_budget_overrun`` flag; insertions through ``learn_one``).
 Requests that *failed* when first applied -- budget exhausted,
 inconsistent record -- fail deterministically again during replay and are
-skipped, reproducing the original outcome. Deferred-maintenance state
-needs no representation on disk: a snapshot flushes the model first, and
-replaying the mixed insert/delete tail eagerly lands bit-identical to the
-live flushed model.
+skipped, reproducing the original outcome. Every write re-scores its
+maintenance nodes as it lands, so replaying the mixed insert/delete tail
+in arrival order lands bit-identical to the live model.
 """
 
 from __future__ import annotations
@@ -120,14 +119,6 @@ class ModelStore:
                 every appended deletion has been applied, as the serving
                 engine guarantees for its primary replica).
         """
-        # WAL ordering under deferred maintenance: the snapshot encoder
-        # stores gains and active variants but knows nothing of the pending
-        # tag log, so a snapshot cut mid-deferral must flush first. Every
-        # pending operation is (by the WAL rule) already logged with
-        # seq <= wal_seq, so the flushed state is exactly what replaying
-        # the log up to wal_seq eagerly would produce -- the snapshot
-        # stays a correct replay prefix.
-        model.flush_maintenance()
         if wal_seq is None:
             wal_seq = self.wal.last_seq
         path = self.snapshot_dir / f"snapshot-{wal_seq:012d}.npz"
@@ -224,12 +215,6 @@ class ModelStore:
                     # after it was logged; replay reproduces that outcome.
                     n_failures += 1
                 applied_seq = frame.seq
-        # Replay runs eagerly (a recovered model defaults to eager
-        # maintenance), and a live deferred model equals its eager twin
-        # only after a flush -- so recovery's contract is "bit-identical
-        # to the live *flushed* model". The flush here is a no-op today
-        # but pins the contract if replay ever runs deferred.
-        model.flush_maintenance()
         return RecoveredModel(
             model=model,
             snapshot=info,

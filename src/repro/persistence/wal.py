@@ -164,11 +164,12 @@ class InsertionRecord:
     """One durable incremental-learning (insertion) request.
 
     Insertions share the deletion log: a mixed insert/delete stream must
-    replay in its exact arrival order, because the deferred-maintenance
-    flush is order-sensitive in its switch accounting and the statistic
-    trajectories interleave. The frame carries ``"kind": "insert"`` so
-    pre-insertion readers of the payload format fail loudly rather than
-    replaying an insertion as a deletion.
+    replay in its exact arrival order, because each write re-scores the
+    maintenance nodes it visits right away, so which variant is active
+    (and when it switches) depends on the order the writes arrived in.
+    The frame carries ``"kind": "insert"`` so pre-insertion readers of
+    the payload format fail loudly rather than replaying an insertion as
+    a deletion.
     """
 
     seq: int
@@ -372,8 +373,9 @@ class WriteAheadLog:
 
         Insertions and deletions draw from the same sequence space and
         land in the same segments, so replay reconstructs the exact
-        arrival interleaving -- which is what makes deferred-maintenance
-        recovery bit-identical to the live flushed model.
+        arrival interleaving -- which is what makes recovery of a mixed
+        stream bit-identical to the live model, since every write
+        re-scores in arrival order.
         """
         entry = InsertionRecord(
             seq=self._next_seq,

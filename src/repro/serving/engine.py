@@ -92,21 +92,6 @@ class ReplicatedServingEngine:
         shard_id: owning shard when this engine serves one shard of a
             sharded deployment; stamped onto every audit entry and WAL
             frame it writes (``None`` = unsharded).
-        maintenance: write-path maintenance mode installed on every
-            replica (``None`` keeps the model's current mode).
-            ``"deferred"`` makes deletions and insertions tag-and-defer
-            (DynFrs-style): each replica accumulates its own pending
-            log, drained by its own predictions, by
-            :meth:`flush_maintenance`, or by ``maintenance_budget``
-            trips. WAL durability is unaffected -- pending state is
-            reconstructible by replay, so recovery still lands
-            bit-identical to the live flushed model.
-        maintenance_budget: per-node pending bound, see
-            :class:`HedgeCutClassifier`.
-        flush_on_predict: when False, predictions do *not* drain the
-            pending log (accepted-staleness serving); pair with
-            :meth:`maintenance_staleness` and explicit
-            :meth:`flush_maintenance` calls.
     """
 
     def __init__(
@@ -117,9 +102,6 @@ class ReplicatedServingEngine:
         consistency: str = "strong",
         applied_seq: int | None = None,
         shard_id: int | None = None,
-        maintenance: str | None = None,
-        maintenance_budget: int | None = None,
-        flush_on_predict: bool = True,
     ) -> None:
         if n_replicas < 1:
             raise ValueError("n_replicas must be >= 1")
@@ -131,15 +113,6 @@ class ReplicatedServingEngine:
             applied_seq = store.wal.last_seq
         self.store = store
         self.consistency = consistency
-        if maintenance is not None:
-            if maintenance not in ("eager", "deferred"):
-                raise ValueError(
-                    f"maintenance must be 'eager' or 'deferred', got {maintenance!r}"
-                )
-            # Installed before the replicas are copied so they inherit it.
-            model.maintenance = maintenance
-            model.maintenance_budget = maintenance_budget
-        model.flush_on_predict = flush_on_predict
         if model.is_fitted:
             # Warm the packed read kernel and the write-side unlearn pack
             # before the replicas are copied: every replica then starts
@@ -201,28 +174,6 @@ class ReplicatedServingEngine:
     def staleness(self) -> list[int]:
         """Per-replica lag: durable deletions not yet applied to it."""
         return [self.durable_seq - replica.applied_seq for replica in self._replicas]
-
-    def maintenance_staleness(self) -> list[int]:
-        """Per-replica pending deferred-maintenance visits.
-
-        Orthogonal to :meth:`staleness`: a replica can have applied every
-        durable operation (lag 0) while still carrying postponed
-        re-scores. Always ``[0, ...]`` in eager mode.
-        """
-        return [
-            replica.model.pending_maintenance_visits for replica in self._replicas
-        ]
-
-    def flush_maintenance(self):
-        """Drain every replica's pending maintenance log.
-
-        Returns the primary replica's
-        :class:`~repro.core.deferred.MaintenanceFlushReport` (the replicas
-        replay the same operations, so their reports match whenever they
-        are equally caught up).
-        """
-        reports = [replica.model.flush_maintenance() for replica in self._replicas]
-        return reports[0]
 
     def _catch_up(self, replica: _Replica, target_seq: int) -> None:
         for op in self._pending:

@@ -17,13 +17,9 @@ Deletions micro-batch too: :meth:`MicroBatcher.submit_unlearn` coalesces
 requests arriving inside the same window into **one** group-committed WAL
 frame and one pass of the batch-unlearning kernel
 (:meth:`ReplicatedServingEngine.unlearn_batch`) instead of a flush and an
-fsync per deletion. By default at most one queue kind is ever open: a
-prediction arrival flushes queued deletions first and vice versa, so the
-interleaving a caller observes equals submission order. With
-``flush_on_unlearn=False`` (the deferred-maintenance pairing) a deletion
-may queue while the prediction window stays open; ordering is still exact
-because queued predictions always predate queued deletions and the
-deletion dispatch drains the prediction window first.
+fsync per deletion. At most one queue kind is ever open: a prediction
+arrival flushes queued deletions first and vice versa, so the
+interleaving a caller observes equals submission order.
 
 The batcher is synchronous (matching the rest of the serving layer): a
 caller that needs an answer before the batch fills calls
@@ -156,16 +152,6 @@ class MicroBatcher:
         config: batching policy (size and delay bounds).
         clock: monotonic time source in seconds; tests inject a fake one
             to exercise the delay window without sleeping.
-        flush_on_unlearn: when True (default), a submitted deletion
-            dispatches the open prediction window immediately -- the
-            original conservative ordering. When False (the deferred-
-            maintenance pairing), a deletion only *queues* while the
-            prediction window stays open; the ordering guarantee is kept
-            because every queued prediction is older than every queued
-            deletion (predictions flush queued deletions on arrival) and
-            the deletion dispatch drains the prediction window first.
-            Observable results are identical to serial submission order;
-            the win is fuller prediction batches under mixed traffic.
     """
 
     def __init__(
@@ -173,10 +159,8 @@ class MicroBatcher:
         engine: ReplicatedServingEngine,
         config: MicroBatchConfig | None = None,
         clock: Callable[[], float] = time.perf_counter,
-        flush_on_unlearn: bool = True,
     ) -> None:
         self.engine = engine
-        self.flush_on_unlearn = flush_on_unlearn
         self.config = config or MicroBatchConfig()
         self.stats = MicroBatchStats()
         self._clock = clock
@@ -252,14 +236,10 @@ class MicroBatcher:
         Deletions queued inside one window dispatch as a single
         group-committed WAL frame and one batch-kernel pass. Queued
         predictions are flushed first (they must not observe this
-        deletion) unless ``flush_on_unlearn`` is off, in which case they
-        stay queued and drain when this deletion window dispatches --
-        same observable order, fuller prediction batches. A change of
-        the ``allow_budget_overrun`` flag closes the open window because
-        the WAL frame carries one flag per batch.
+        deletion). A change of the ``allow_budget_overrun`` flag closes
+        the open window because the WAL frame carries one flag per batch.
         """
-        if self.flush_on_unlearn:
-            self.flush()
+        self.flush()
         if self._unlearn_records and allow_budget_overrun != self._unlearn_overrun:
             self.flush_unlearns()
         handle = PendingUnlearn(self)
@@ -282,11 +262,6 @@ class MicroBatcher:
         return self._dispatch_unlearns(FLUSH_FORCED)
 
     def _dispatch_unlearns(self, reason: str) -> int:
-        # Every queued prediction predates every queued deletion (a
-        # prediction arrival drains the deletion queue first), so draining
-        # the prediction window here reproduces serial submission order
-        # exactly -- this is what makes flush_on_unlearn=False safe.
-        self.flush()
         records = self._unlearn_records
         ids = self._unlearn_ids
         handles = self._unlearn_handles

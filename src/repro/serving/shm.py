@@ -680,7 +680,7 @@ _OPS = {
 }
 
 
-def _reader_main(name: str, conn) -> None:
+def _reader_main(name: str, conn, inherited=()) -> None:
     """Entry point of one reader process: attach, answer until told to stop.
 
     Wire protocol (tuples over the duplex pipe)::
@@ -695,7 +695,14 @@ def _reader_main(name: str, conn) -> None:
     ``eval_*`` requests reference row ranges of it, so steady-state
     request payloads are three integers -- the serving analogue of
     replaying a recorded traffic log without re-shipping the rows.
+
+    ``inherited`` holds the engine-side pipe ends a forked reader got
+    copies of, its own and its siblings'. They are closed first: while any
+    process holds a copy of this reader's engine end, ``conn.recv()``
+    never sees EOF, and a reader whose writer was killed would live on.
     """
+    for engine_end in inherited:
+        engine_end.close()
     reader = SharedEnsembleReader(name)
     eval_matrix: np.ndarray | None = None
     try:
@@ -850,7 +857,9 @@ class ShmReplicatedServingEngine:
         self._needs_publish = False
         self._audited = AuditedUnlearner(model=model, wal=store.wal, shard_id=shard_id)
         self._ctx = get_context(start_method)
-        self._readers = [self._spawn_reader() for _ in range(n_readers)]
+        self._readers: list[_FleetReader] = []
+        for _ in range(n_readers):
+            self._readers.append(self._spawn_reader())
         self._cursor = itertools.cycle(range(n_readers))
         self.reader_respawns = 0
         self._closed = False
@@ -887,9 +896,14 @@ class ShmReplicatedServingEngine:
 
     def _spawn_reader(self) -> _FleetReader:
         parent_conn, child_conn = self._ctx.Pipe()
+        inherited = []
+        if self._ctx.get_start_method() == "fork":
+            inherited = [parent_conn] + [
+                reader.conn for reader in self._readers if not reader.conn.closed
+            ]
         process = self._ctx.Process(
             target=_reader_main,
-            args=(self.segment_name, child_conn),
+            args=(self.segment_name, child_conn, inherited),
             daemon=True,
         )
         process.start()

@@ -251,211 +251,6 @@ class ServingSimulator:
         report.total_seconds = time.perf_counter() - start
 
 
-@dataclass(frozen=True)
-class OnlineMix:
-    """Workload composition of one sustained interleaved online run.
-
-    Slots are typed prediction / deletion / insertion; deletions and
-    insertions are ``round(n_requests * fraction)`` each (at least one
-    when the fraction is positive), the rest are predictions.
-    """
-
-    n_requests: int
-    delete_fraction: float = 0.1
-    insert_fraction: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.n_requests < 1:
-            raise ValueError("n_requests must be positive")
-        if not 0.0 <= self.delete_fraction < 1.0:
-            raise ValueError("delete_fraction must be in [0, 1)")
-        if not 0.0 <= self.insert_fraction < 1.0:
-            raise ValueError("insert_fraction must be in [0, 1)")
-        if self.delete_fraction + self.insert_fraction >= 1.0:
-            raise ValueError("delete and insert fractions must sum below 1")
-
-
-@dataclass
-class OnlineReport:
-    """Measurements of one interleaved insert/delete/predict run.
-
-    ``deletions_per_second`` / ``insertions_per_second`` are computed
-    over the time spent *inside* the write calls -- the number the
-    deferred-vs-eager comparison is about. ``flush_latencies_us`` holds
-    one sample per explicit maintenance flush, and
-    ``staleness_samples`` the pending-visit count observed just before
-    each flush (always 0 in eager mode). ``accuracy_curve`` pairs each
-    prediction dispatch's pre-flush staleness with its accuracy, the raw
-    points of the accuracy-vs-staleness curve.
-    """
-
-    n_predictions: int = 0
-    n_deletions: int = 0
-    n_insertions: int = 0
-    total_seconds: float = 0.0
-    delete_seconds: float = 0.0
-    insert_seconds: float = 0.0
-    batch_seconds: float = 0.0
-    n_batches: int = 0
-    flush_seconds: float = 0.0
-    flush_latencies_us: list[float] = field(default_factory=list)
-    staleness_samples: list[int] = field(default_factory=list)
-    accuracy_curve: list[tuple[int, float]] = field(default_factory=list)
-
-    @property
-    def deletions_per_second(self) -> float:
-        if self.delete_seconds <= 0:
-            return 0.0
-        return self.n_deletions / self.delete_seconds
-
-    @property
-    def insertions_per_second(self) -> float:
-        if self.insert_seconds <= 0:
-            return 0.0
-        return self.n_insertions / self.insert_seconds
-
-    @property
-    def rows_per_second(self) -> float:
-        if self.batch_seconds <= 0:
-            return 0.0
-        return self.n_predictions / self.batch_seconds
-
-    def flush_percentile(self, percentile: float) -> float:
-        """Maintenance-flush latency percentile in microseconds."""
-        if not self.flush_latencies_us:
-            raise ValueError("no flush latencies were recorded")
-        return float(np.percentile(np.asarray(self.flush_latencies_us), percentile))
-
-
-class OnlineServingSimulator:
-    """Drives a model with a sustained interleaved insert/delete/predict mix.
-
-    The online-learning workload of the deferred-maintenance design:
-    deletions and insertions stream between prediction micro-batches,
-    and -- in deferred mode -- re-scoring piles up in the pending log
-    until a prediction (or an explicit flush) drains it. The simulator
-    times the three request kinds separately and, when it performs the
-    flush itself (``model.flush_on_predict`` cleared), records one
-    flush-latency and one staleness sample per prediction dispatch.
-
-    Ordering matches :class:`ServingSimulator`: the open prediction
-    batch is dispatched before every write, so a prediction never
-    observes a mutation submitted after it.
-
-    Args:
-        model: fitted classifier under test (mutated by the run).
-        prediction_pool: records predictions are drawn from; its labels
-            score the accuracy-vs-staleness curve.
-        delete_pool: training records available for deletion (each used
-            at most once; applied with ``allow_budget_overrun=True``).
-        insert_pool: records available for insertion (each used once).
-        seed: request-schedule randomness.
-        batch_size: micro-batch bound for prediction dispatches.
-    """
-
-    def __init__(
-        self,
-        model: HedgeCutClassifier,
-        prediction_pool: Dataset,
-        delete_pool: list[Record],
-        insert_pool: list[Record] | None = None,
-        seed: int | None = None,
-        batch_size: int = 64,
-    ) -> None:
-        if prediction_pool.n_rows == 0:
-            raise ValueError("prediction pool must not be empty")
-        if batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        self.model = model
-        self._pool_matrix = prediction_pool.feature_matrix()
-        self._pool_labels = np.asarray(prediction_pool.labels)
-        self.delete_pool = list(delete_pool)
-        self.insert_pool = list(insert_pool or [])
-        self.seed = seed
-        self.batch_size = batch_size
-
-    def _schedule(self, mix: OnlineMix, rng) -> np.ndarray:
-        """Slot types for the run: 0 = predict, 1 = delete, 2 = insert."""
-        n_delete = int(round(mix.n_requests * mix.delete_fraction))
-        if mix.delete_fraction > 0.0:
-            n_delete = max(1, n_delete)
-        n_delete = min(n_delete, len(self.delete_pool))
-        n_insert = int(round(mix.n_requests * mix.insert_fraction))
-        if mix.insert_fraction > 0.0 and self.insert_pool:
-            n_insert = max(1, n_insert)
-        n_insert = min(n_insert, len(self.insert_pool))
-        slots = np.zeros(mix.n_requests, dtype=np.int8)
-        slots[:n_delete] = 1
-        slots[n_delete:n_delete + n_insert] = 2
-        rng.shuffle(slots)
-        return slots
-
-    def run(self, mix: OnlineMix) -> OnlineReport:
-        """Execute one interleaved workload and measure it."""
-        rng = np.random.default_rng(self.seed)
-        slots = self._schedule(mix, rng)
-        prediction_choices = rng.integers(
-            0, self._pool_matrix.shape[0], size=mix.n_requests
-        )
-        delete_queue = iter(self.delete_pool)
-        insert_queue = iter(self.insert_pool)
-
-        model = self.model
-        predict_rows = model.predict_rows
-        pool_matrix = self._pool_matrix
-        pool_labels = self._pool_labels
-        batch_size = self.batch_size
-        # When the model does not flush on predict, the simulator owns
-        # the flush and can time it (and sample staleness) explicitly.
-        own_flush = not model.flush_on_predict
-        report = OnlineReport()
-        pending: list[int] = []
-
-        def dispatch() -> None:
-            if not pending:
-                return
-            staleness = model.pending_maintenance_visits
-            if own_flush:
-                flush_start = time.perf_counter()
-                model.flush_maintenance()
-                flush_elapsed = time.perf_counter() - flush_start
-                report.flush_seconds += flush_elapsed
-                report.flush_latencies_us.append(flush_elapsed * 1e6)
-                report.staleness_samples.append(staleness)
-            rows_idx = np.asarray(pending, dtype=np.intp)
-            batch_start = time.perf_counter()
-            labels = predict_rows(pool_matrix[rows_idx])
-            report.batch_seconds += time.perf_counter() - batch_start
-            report.n_batches += 1
-            accuracy = float(np.mean(labels == pool_labels[rows_idx]))
-            report.accuracy_curve.append((staleness, accuracy))
-            pending.clear()
-
-        start = time.perf_counter()
-        for slot in range(mix.n_requests):
-            kind = slots[slot]
-            if kind == 1:
-                dispatch()
-                op_start = time.perf_counter()
-                model.unlearn(next(delete_queue), allow_budget_overrun=True)
-                report.delete_seconds += time.perf_counter() - op_start
-                report.n_deletions += 1
-            elif kind == 2:
-                dispatch()
-                op_start = time.perf_counter()
-                model.learn_one(next(insert_queue))
-                report.insert_seconds += time.perf_counter() - op_start
-                report.n_insertions += 1
-            else:
-                pending.append(int(prediction_choices[slot]))
-                report.n_predictions += 1
-                if len(pending) >= batch_size:
-                    dispatch()
-        dispatch()
-        report.total_seconds = time.perf_counter() - start
-        return report
-
-
 class EngineServingSimulator:
     """Drives a *serving engine* with the same mixed online workload.
 

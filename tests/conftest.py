@@ -3,11 +3,17 @@
 Model training is the expensive part of these tests, so fitted models are
 provided via session-scoped fixtures plus ``copy.deepcopy`` for tests that
 mutate them (unlearning); datasets are generated once per session.
+
+The session also fails if it leaves shared-memory segments behind: every
+segment the serving layer creates is named ``hc-*``, and any such name in
+``/dev/shm`` at the end of the run that was not there at its start is a
+leak (a reader fleet or a writer that never cleaned up).
 """
 
 from __future__ import annotations
 
 import copy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +22,25 @@ from repro.core.ensemble import HedgeCutClassifier
 from repro.dataprep.dataset import Dataset, FeatureKind, FeatureSchema
 from repro.datasets.registry import load_dataset
 from repro.evaluation.splits import train_test_split
+
+
+_SHM_DIR = Path("/dev/shm")
+
+
+def _shm_segments() -> set[str]:
+    if not _SHM_DIR.is_dir():
+        return set()
+    return {path.name for path in _SHM_DIR.glob("hc-*")}
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_leaked_shm_segments():
+    """Fail the run if it leaves new ``hc-*`` segments in ``/dev/shm``."""
+    before = _shm_segments()
+    yield
+    leaked = sorted(_shm_segments() - before)
+    if leaked:
+        pytest.fail(f"the test run leaked shared-memory segments: {leaked}")
 
 
 def small_schema() -> tuple[FeatureSchema, ...]:

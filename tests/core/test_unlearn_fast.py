@@ -7,6 +7,9 @@ field, same variant switches in the same trees, bit-identical
 ``predict_proba`` afterwards, and the same error message on rejection --
 through interleaved unlearn/predict campaigns, across snapshot
 round-trips, and after the small-batch loop's whole-batch rollback.
+Insertions (``learn_one``) write through to the pack the same way, and a
+hypothesis suite drives random delete / batch-delete / insert / predict
+interleavings against the object-walk oracle.
 
 The second half covers the DaRE-style ``topd`` knob: ``topd=0`` trains
 bit-identical models to the pre-knob code, deletions never touch the
@@ -18,10 +21,12 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.ensemble import HedgeCutClassifier
 from repro.core.exceptions import UnlearningError
-from repro.core.nodes import MaintenanceNode, SplitNode, iter_nodes
+from repro.core.nodes import Leaf, MaintenanceNode, SplitNode, iter_nodes
+from repro.core.packed import PackedEnsemble
 from repro.core.unlearning import UnlearningReport
 from repro.datasets.registry import load_dataset
 from repro.evaluation.splits import train_test_split
@@ -57,6 +62,23 @@ def _split_counts(model):
                     (node.random, stats.n, stats.n_plus, stats.n_left, stats.n_left_plus)
                 )
     return counts
+
+
+def _fingerprint(model):
+    """Every count, gain and active choice, plus the deletion accounting."""
+    leaves = [
+        (leaf.n, leaf.n_plus)
+        for tree in model.trees
+        for leaf in iter_nodes(tree.root)
+        if isinstance(leaf, Leaf)
+    ]
+    return (
+        model.n_unlearned,
+        _split_counts(model),
+        _active_variants(model),
+        _variant_gains(model),
+        leaves,
+    )
 
 
 def _drive_to_rejection(model, record, max_iters=64):
@@ -339,4 +361,129 @@ class TestTopdKnob:
         assert _active_variants(recovered.model) == _active_variants(model)
         assert np.array_equal(
             recovered.model.predict_proba_batch(test), model.predict_proba_batch(test)
+        )
+
+
+class TestLearnOneWriteThrough:
+    @pytest.fixture()
+    def model(self, random_dataset):
+        model = HedgeCutClassifier(n_trees=4, epsilon=0.05, seed=5).fit(random_dataset)
+        assert model.node_census().n_maintenance_nodes > 0
+        return model
+
+    def test_insertion_is_o1_on_packed_model(self, model, random_dataset):
+        """Regression: learn_one must not invalidate the unlearn pack."""
+        pack_before = model.packed.unlearn_pack()
+        assert not pack_before._stale
+        model.learn_one(random_dataset.record(250))
+        pack_after = model.packed._unlearn_pack
+        assert pack_after is pack_before  # no rebuild scheduled
+        assert not pack_after._stale  # and no mark-stale write-through
+
+    def test_insertion_matches_object_walk(self, model, random_dataset):
+        packed_model = model
+        _ = packed_model.packed
+        object_model = copy.deepcopy(packed_model)
+        object_model._packed = None
+        record = random_dataset.record(250)
+        packed_report = packed_model.learn_one(record)
+        object_report = object_model.learn_one(record)
+        assert packed_report.leaves_updated == object_report.leaves_updated
+        assert packed_report.variant_switches == object_report.variant_switches
+        probe = random_dataset.take(np.arange(120))
+        np.testing.assert_array_equal(
+            packed_model.predict_proba_batch(probe),
+            object_model.predict_proba_batch(probe),
+        )
+
+    def test_insert_then_delete_roundtrip_restores_stats(self, model, random_dataset):
+        probe = random_dataset.take(np.arange(120))
+        baseline = model.predict_proba_batch(probe)
+        record = random_dataset.record(250)
+        model.learn_one(record)
+        model.unlearn(record, allow_budget_overrun=True)
+        np.testing.assert_array_equal(model.predict_proba_batch(probe), baseline)
+
+
+_BASE_MODELS: dict[str, tuple] = {}
+
+
+def _base_model(name):
+    """A fitted registry-dataset model with maintenance nodes (cached fit)."""
+    if name not in _BASE_MODELS:
+        data = load_dataset(name, n_rows=400, seed=3)
+        model = HedgeCutClassifier(n_trees=3, epsilon=0.05, seed=7).fit(data)
+        assert model.node_census().n_maintenance_nodes > 0
+        _BASE_MODELS[name] = (data, model)
+    return _BASE_MODELS[name]
+
+
+def _oracle_proba(oracle, rows):
+    """Predict from a throwaway pack so the oracle itself stays pack-less."""
+    return PackedEnsemble(list(oracle.trees), oracle.schema).predict_proba_rows(rows)
+
+
+class TestEquivalenceProperty:
+    """Random write interleavings: packed write paths == object-walk oracle.
+
+    The packed model takes the scalar fast path for single deletions and
+    insertions, and the small-batch loop or the vectorised kernel for
+    batches (33 records crosses ``small_batch_threshold``). The oracle
+    never builds a pack: ``unlearn(path="object")``, the scalar object
+    loop for batches and the object walk for ``learn_one``.
+    """
+
+    @given(
+        name=st.sampled_from(["income", "heart"]),
+        ops=st.lists(
+            st.tuples(st.sampled_from("ddbip"), st.integers(0, 10_000)),
+            min_size=5,
+            max_size=40,
+        ),
+        batch_size=st.sampled_from([2, 5, 33]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_random_interleaving_is_equivalent(self, name, ops, batch_size):
+        data, base = _base_model(name)
+        packed = copy.deepcopy(base)
+        _ = packed.packed.unlearn_pack()
+        oracle = copy.deepcopy(base)
+        matrix = data.feature_matrix()
+        delete_rows = list(range(200))
+        insert_rows = list(range(200, 400))
+        for kind, pick in ops:
+            if kind == "d":
+                if not delete_rows:
+                    continue
+                record = data.record(delete_rows.pop(pick % len(delete_rows)))
+                report = packed.unlearn(record, allow_budget_overrun=True)
+                assert report == oracle.unlearn(
+                    record, allow_budget_overrun=True, path="object"
+                )
+            elif kind == "b":
+                if len(delete_rows) < batch_size:
+                    continue
+                start = pick % (len(delete_rows) - batch_size + 1)
+                records = [
+                    data.record(row) for row in delete_rows[start:start + batch_size]
+                ]
+                del delete_rows[start:start + batch_size]
+                assert packed.unlearn_batch(
+                    records, allow_budget_overrun=True
+                ) == oracle.unlearn_batch(records, allow_budget_overrun=True)
+            elif kind == "i":
+                if not insert_rows:
+                    continue
+                record = data.record(insert_rows.pop(pick % len(insert_rows)))
+                assert packed.learn_one(record) == oracle.learn_one(record)
+            else:
+                rows = matrix[pick % data.n_rows][None, :]
+                np.testing.assert_array_equal(
+                    packed.predict_proba_rows(rows), _oracle_proba(oracle, rows)
+                )
+            assert oracle._packed is None
+        assert _fingerprint(packed) == _fingerprint(oracle)
+        probe = matrix[:120]
+        np.testing.assert_array_equal(
+            packed.predict_proba_rows(probe), _oracle_proba(oracle, probe)
         )

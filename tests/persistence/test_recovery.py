@@ -257,6 +257,52 @@ class TestBatchFrameRecovery:
         )
 
 
+def _mixed_ops(dataset, k):
+    """The first ``k`` of a fixed mixed insert/delete schedule."""
+    ops = []
+    for step in range(k):
+        if step % 3 == 2:
+            ops.append(("insert", dataset.record(200 + step)))
+        else:
+            ops.append(("delete", dataset.record(step)))
+    return ops
+
+
+def _apply_mixed(model, ops, store=None):
+    """Apply ``ops`` to ``model`` on its packed write path, logging first."""
+    _ = model.packed
+    for kind, record in ops:
+        if kind == "insert":
+            if store is not None:
+                store.wal.append_insertion(record, request_id="ins")
+            model.learn_one(record)
+        else:
+            if store is not None:
+                store.wal.append(record, request_id="del", allow_budget_overrun=True)
+            model.unlearn(record, allow_budget_overrun=True)
+
+
+class TestMixedStreamRecovery:
+    """Replaying an interleaved insert/delete tail matches the live model."""
+
+    @pytest.mark.parametrize("k", [3, 10, 24])
+    def test_recovery_equals_live_model(self, tmp_path, noisy_setup, k):
+        model, dataset = noisy_setup
+        live = copy.deepcopy(model)
+        with ModelStore(tmp_path / "store") as store:
+            store.save_snapshot(live, wal_seq=0)
+            _apply_mixed(live, _mixed_ops(dataset, k), store=store)
+            # Crash: no final snapshot.
+
+        recovered = ModelStore(tmp_path / "store").recover()
+        assert recovered.n_replayed == k
+        assert recovered.n_replay_failures == 0
+        np.testing.assert_array_equal(
+            recovered.model.predict_proba_batch(dataset),
+            live.predict_proba_batch(dataset),
+        )
+
+
 class TestSnapshotHousekeeping:
     def test_snapshots_are_pruned(self, tmp_path, noisy_setup):
         model, dataset = noisy_setup

@@ -6,6 +6,7 @@ from repro.dataprep.dataset import Record
 from repro.persistence.wal import (
     BatchDeletionRecord,
     DeletionRecord,
+    InsertionRecord,
     WalCorruptionError,
     WriteAheadLog,
 )
@@ -133,6 +134,35 @@ class TestBatchFrames:
     def test_empty_batch_record_rejected(self):
         with pytest.raises(ValueError):
             BatchDeletionRecord(records=())
+
+
+class TestInsertionFrames:
+    def test_interleaving_survives_in_shared_sequence(self, tmp_path):
+        wal = WriteAheadLog(tmp_path / "wal")
+        wal.append(_record(0), request_id="d0")
+        wal.append_insertion(_record(1), request_id="i0")
+        wal.append(_record(2), request_id="d1")
+        wal.close()
+
+        frames = list(WriteAheadLog(tmp_path / "wal").frames())
+        assert [type(frame) for frame in frames] == [
+            DeletionRecord,
+            InsertionRecord,
+            DeletionRecord,
+        ]
+        assert [frame.seq for frame in frames] == [1, 2, 3]
+        insert = frames[1]
+        assert insert.to_record().values == _record(1).values
+        assert insert.to_record().label == _record(1).label
+
+    def test_records_iterator_stays_deletions_only(self, tmp_path):
+        wal = WriteAheadLog(tmp_path / "wal")
+        wal.append(_record(0), request_id="d0")
+        wal.append_insertion(_record(1), request_id="i0")
+        wal.close()
+        records = list(WriteAheadLog(tmp_path / "wal").records())
+        assert len(records) == 1
+        assert isinstance(records[0], DeletionRecord)
 
 
 class TestCrashTolerance:

@@ -234,36 +234,6 @@ class TestUnlearnCoalescing:
         for _ in range(2):
             assert np.array_equal(engine.predict_batch(dataset), expected)
 
-
-class TestDeferredWindowing:
-    """``flush_on_unlearn=False``: both queues open, serial order kept."""
-
-    def test_deletion_queues_without_closing_prediction_window(
-        self, engine, dataset
-    ):
-        batcher = _batcher(engine, max_batch=100)
-        batcher.flush_on_unlearn = False
-        prediction = batcher.submit_predict(dataset.record(3))
-        deletion = batcher.submit_unlearn(
-            "req-0", dataset.record(0), allow_budget_overrun=True
-        )
-        # Both windows stay open -- the whole point of the mode.
-        assert not prediction.done and not deletion.done
-        assert batcher.n_queued == 1 and batcher.n_queued_unlearns == 1
-
-    def test_unlearn_dispatch_drains_prediction_window_first(
-        self, engine, dataset
-    ):
-        batcher = _batcher(engine, max_batch=100)
-        batcher.flush_on_unlearn = False
-        before = engine.primary.predict_batch(dataset.take(np.arange(5)))
-        handles = [batcher.submit_predict(dataset.record(row)) for row in range(5)]
-        batcher.submit_unlearn("req-0", dataset.record(0), allow_budget_overrun=True)
-        batcher.flush_unlearns()
-        # Queued predictions predate the queued deletion and must answer
-        # from pre-deletion state even though they dispatched later.
-        assert [handle.result() for handle in handles] == before.tolist()
-
     def test_interleaved_equals_serial_replay(self, tmp_path, model, dataset):
         """Property: any predict/delete interleaving == serial submission."""
         reference = copy.deepcopy(model)
@@ -271,7 +241,6 @@ class TestDeferredWindowing:
             model, ModelStore(tmp_path / "store"), n_replicas=2
         )
         batcher = _batcher(engine, max_batch=100)
-        batcher.flush_on_unlearn = False
         rng = np.random.default_rng(29)
         serial_answers = []
         batched_handles = []

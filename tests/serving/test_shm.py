@@ -8,6 +8,8 @@ in tier-1; the heavy kill/restart matrix additionally carries ``slow``.
 import copy
 import os
 import signal
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +45,15 @@ def model(dataset):
 def segment_name(request):
     # Unique per test: parallel test processes must never share segments.
     return f"hc-test-{os.getpid():x}-{abs(hash(request.node.nodeid)) % 10**8:x}"
+
+
+def _alive(pid):
+    """Whether process ``pid`` still runs (an unreaped zombie has exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 def _engine(tmp_path, model, **kwargs):
@@ -339,9 +350,43 @@ class TestCrashRecovery:
                 reference.predict_proba_batch(dataset),
             )
 
+    def test_readers_exit_when_their_writer_is_killed(
+        self, tmp_path, model, segment_name
+    ):
+        """SIGKILL a writer with a 2-reader fleet: both readers see EOF on
+        their pipes and exit rather than outliving it as orphans."""
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        pids_out, pids_in = ctx.Pipe(duplex=False)
+
+        def doomed_writer() -> None:
+            engine = _engine(tmp_path, model, segment_name=segment_name)
+            pids_in.send([reader.process.pid for reader in engine._readers])
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        writer = ctx.Process(target=doomed_writer)
+        writer.start()
+        reader_pids = []
+        try:
+            assert pids_out.poll(60), "the writer never reported its readers"
+            reader_pids = pids_out.recv()
+            writer.join(timeout=30)
+            assert writer.exitcode == -signal.SIGKILL
+            deadline = time.monotonic() + 5.0
+            while any(map(_alive, reader_pids)) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert not any(map(_alive, reader_pids)), "a reader outlived its writer"
+        finally:
+            for pid in filter(_alive, reader_pids):
+                os.kill(pid, signal.SIGKILL)
+            # The dead writer could not unlink its segments.
+            for path in Path("/dev/shm").glob(f"{segment_name}-*"):
+                path.unlink()
+
     @pytest.mark.slow
     def test_writer_sigkill_mid_publish_recovers_bit_identically(
-        self, tmp_path, dataset
+        self, tmp_path, dataset, segment_name
     ):
         """Kill the writer in the torn-publish window (seqlock odd), then
         recover: readers saw bounded retries, never wrong answers, and the
@@ -357,6 +402,7 @@ class TestCrashRecovery:
                 ModelStore(tmp_path / "store"),
                 n_readers=1,
                 consistency="strong",
+                segment_name=segment_name,
             )
             for row in range(4):
                 engine.unlearn(
@@ -383,8 +429,10 @@ class TestCrashRecovery:
         for row in range(5):
             reference.unlearn(dataset.record(row), allow_budget_overrun=True)
 
+        # The same segment name makes the restart reclaim the dead
+        # writer's segments.
         recovered = ShmReplicatedServingEngine.recover(
-            ModelStore(tmp_path / "store"), n_readers=2
+            ModelStore(tmp_path / "store"), n_readers=2, segment_name=segment_name
         )
         with recovered:
             assert recovered.durable_seq == 5  # req-4's frame survived

@@ -2,10 +2,10 @@
 
 Two scenarios the reserved-span layout must survive:
 
-* a deferred-maintenance flush splices a subtree and span-publishes it
-  while a shared-memory reader is mid-traversal -- the reader must retry
-  under the seqlock (observed via :class:`ReaderStats`) and land on a
-  validated, consistent read;
+* a deletion's variant switch splices a subtree and the next publish
+  mirrors the span while a shared-memory reader is mid-traversal -- the
+  reader must retry under the seqlock (observed via :class:`ReaderStats`)
+  and land on a validated, consistent read;
 * crash recovery replays a WAL tail whose operations include a variant
   switch, so the recovered pack is a *spliced* pack -- it must be
   bit-identical (all seven flat arrays) to an eager from-scratch rebuild.
@@ -51,25 +51,18 @@ def _assert_packs_bit_identical(spliced: PackedEnsemble, fresh: PackedEnsemble):
     assert np.array_equal(a.leaf_n_plus, b.leaf_n_plus)
 
 
-def _unlearn_until_flush_splices(model, dataset, max_rows=120):
-    """Deferred-unlearn rows until a flush actually switches a variant."""
-    row = 0
-    while row < max_rows:
-        stop = min(row + 20, max_rows)
-        while row < stop:
-            model.unlearn(dataset.record(row), allow_budget_overrun=True)
-            row += 1
-        report = model.flush_maintenance()
-        if report.switched_nodes:
+def _unlearn_until_switch(model, dataset, max_rows=120):
+    """Unlearn rows one by one until a deletion switches a variant."""
+    for row in range(max_rows):
+        report = model.unlearn(dataset.record(row), allow_budget_overrun=True)
+        if report.variant_switches > 0:
             return report
     pytest.skip("campaign produced no variant switch to splice")
 
 
 class TestFlushSpliceUnderConcurrentReads:
     def test_reader_mid_traversal_retries_and_validates(self, dataset, tmp_path):
-        model = HedgeCutClassifier(
-            n_trees=4, epsilon=0.05, seed=5, maintenance="deferred"
-        ).fit(dataset)
+        model = HedgeCutClassifier(n_trees=4, epsilon=0.05, seed=5).fit(dataset)
         packed = model.packed  # force the packed write path
 
         segment_name = f"hc-stress-{tmp_path.name[-8:]}"
@@ -107,10 +100,10 @@ class TestFlushSpliceUnderConcurrentReads:
             with SharedEnsembleReader(
                 segment_name, max_retries=10_000, retry_wait_s=1e-4
             ) as reader:
-                # Splice while the segment is live: the flush rewrites the
-                # node's reserved span in the writer's pack and leaves the
-                # dirty ranges for the next publish to mirror.
-                report = _unlearn_until_flush_splices(model, dataset)
+                # Splice while the segment is live: the switching deletion
+                # rewrites the node's reserved span in the writer's pack and
+                # leaves the dirty ranges for the next publish to mirror.
+                report = _unlearn_until_switch(model, dataset)
                 assert packed.has_dirty_spans
                 thread = threading.Thread(target=_reader_main, args=(reader,))
                 shm_module._PUBLISH_FAULT_HOOK = _fault_hook

@@ -11,7 +11,7 @@ PYTHONPATH := src
 
 export PYTHONPATH
 
-.PHONY: native test test-all bench-smoke bench-inference bench-training bench-unlearning bench-sharding bench-serving profile-unlearn lint
+.PHONY: native test test-all bench-smoke bench-inference bench-unlearning bench-sharding bench-serving profile-unlearn lint
 
 ## Rebuild the native kernel into its cache with -Wall -Wextra -Werror.
 native:
@@ -36,11 +36,6 @@ bench-smoke:
 ## BENCH_inference.json at the repo root.
 bench-inference:
 	$(PYTHON) benchmarks/bench_inference.py
-
-## Training-throughput benchmark (recursive vs frontier trainer);
-## machine-readable results land in BENCH_training.json at the repo root.
-bench-training:
-	$(PYTHON) benchmarks/bench_training.py
 
 ## Batch-unlearning benchmark (scalar loop vs vectorised kernel);
 ## machine-readable results land in BENCH_unlearning.json at the repo root.

@@ -35,14 +35,12 @@ Quickstart::
 
 from repro.core.ensemble import HedgeCutClassifier
 from repro.core.params import HedgeCutParams
-from repro.core.regression import HedgeCutRegressor
 from repro.dataprep.dataset import Dataset, FeatureKind, FeatureSchema
 from repro.dataprep.pipeline import TabularPreprocessor
 from repro.datasets.registry import available_datasets, load_dataset
 
 __all__ = [
     "HedgeCutClassifier",
-    "HedgeCutRegressor",
     "HedgeCutParams",
     "Dataset",
     "FeatureKind",

@@ -7,6 +7,8 @@ leaves are pure or smaller than ``min_samples_split``, no depth limit.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.baselines.tree_common import (
@@ -31,11 +33,6 @@ class DecisionTreeClassifier:
         max_depth: optional depth cap (``None`` grows until purity).
         max_features: per-node feature subsample ("sqrt" or ``None`` for
             all); the Random Forest baseline sets this to "sqrt".
-        trainer: growth strategy -- "recursive" (node-at-a-time reference)
-            or "frontier" (level-synchronous histogram growth, see
-            :func:`repro.training.baseline.grow_cart_tree`). Without
-            feature subsampling the two grow bit-identical trees; with
-            subsampling they match in distribution.
         seed: random generator seed (used only when subsampling features).
     """
 
@@ -45,7 +42,6 @@ class DecisionTreeClassifier:
         min_samples_leaf: int = 1,
         max_depth: int | None = None,
         max_features: str | None = None,
-        trainer: str = "recursive",
         seed: int | None = None,
     ) -> None:
         if min_samples_split < 2:
@@ -54,13 +50,10 @@ class DecisionTreeClassifier:
             raise ValueError("min_samples_leaf must be at least 1")
         if max_features not in (None, "sqrt"):
             raise ValueError(f"unsupported max_features {max_features!r}")
-        if trainer not in ("recursive", "frontier"):
-            raise ValueError(f"unsupported trainer {trainer!r}")
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
         self.max_depth = max_depth
         self.max_features = max_features
-        self.trainer = trainer
         self.seed = seed
         self._root: BaselineNode | None = None
         self._n_values: tuple[int, ...] = ()
@@ -98,75 +91,20 @@ class DecisionTreeClassifier:
         rows: np.ndarray,
         rng: np.random.Generator,
     ) -> BaselineNode:
-        if self.trainer == "frontier":
-            from repro.training.baseline import grow_cart_tree
+        # Imported here: repro.training.baseline imports this package.
+        from repro.training.baseline import grow_cart_tree
 
-            columns = [np.ascontiguousarray(matrix[:, f]) for f in range(matrix.shape[1])]
-            return grow_cart_tree(
-                columns,
-                labels,
-                self._n_values,
-                rows,
-                min_samples_split=self.min_samples_split,
-                min_samples_leaf=self.min_samples_leaf,
-                max_depth=self.max_depth,
-                max_features_sqrt=self.max_features == "sqrt",
-                rng=rng,
-            )
-        return self._build(matrix, labels, rows, depth=0, rng=rng)
-
-    def _build(
-        self,
-        matrix: np.ndarray,
-        labels: np.ndarray,
-        rows: np.ndarray,
-        depth: int,
-        rng: np.random.Generator,
-    ) -> BaselineNode:
-        local_labels = labels[rows]
-        n = rows.shape[0]
-        n_plus = int(local_labels.sum())
-        pure = n_plus in (0, n)
-        depth_capped = self.max_depth is not None and depth >= self.max_depth
-        if n < self.min_samples_split or pure or depth_capped:
-            return majority_leaf(local_labels)
-
-        n_features = matrix.shape[1]
-        if self.max_features == "sqrt":
-            k = max(1, round(np.sqrt(n_features)))
-            features = rng.choice(n_features, size=k, replace=False)
-        else:
-            features = np.arange(n_features)
-
-        best_feature = -1
-        best_threshold = -1
-        best_impurity = np.inf
-        for feature in features:
-            codes = matrix[rows, feature]
-            result = best_threshold_for_feature(
-                codes, local_labels, self._n_values[feature]
-            )
-            if result is None:
-                continue
-            threshold, impurity = result
-            if impurity < best_impurity:
-                best_feature, best_threshold, best_impurity = int(feature), threshold, impurity
-
-        if best_feature < 0:
-            return majority_leaf(local_labels)
-        goes_left = matrix[rows, best_feature] <= best_threshold
-        left_rows = rows[goes_left]
-        right_rows = rows[~goes_left]
-        if (
-            left_rows.shape[0] < self.min_samples_leaf
-            or right_rows.shape[0] < self.min_samples_leaf
-        ):
-            return majority_leaf(local_labels)
-        return BaselineSplit(
-            feature=best_feature,
-            threshold=best_threshold,
-            left=self._build(matrix, labels, left_rows, depth + 1, rng),
-            right=self._build(matrix, labels, right_rows, depth + 1, rng),
+        columns = [np.ascontiguousarray(matrix[:, f]) for f in range(matrix.shape[1])]
+        return grow_cart_tree(
+            columns,
+            labels,
+            self._n_values,
+            rows,
+            min_samples_split=self.min_samples_split,
+            min_samples_leaf=self.min_samples_leaf,
+            max_depth=self.max_depth,
+            max_features_sqrt=self.max_features == "sqrt",
+            rng=rng,
         )
 
     # ------------------------------------------------------------------ #
@@ -199,3 +137,71 @@ class DecisionTreeClassifier:
             else:
                 stack.extend((node.left, node.right))
         return count
+
+
+
+def grow_cart_recursive(
+    matrix: np.ndarray,
+    labels: np.ndarray,
+    n_values: Sequence[int],
+    rows: np.ndarray,
+    *,
+    min_samples_split: int,
+    min_samples_leaf: int,
+    max_depth: int | None,
+    max_features_sqrt: bool,
+    rng: np.random.Generator,
+) -> BaselineNode:
+    """Node-at-a-time CART growth: the reference for ``grow_cart_tree``.
+
+    Fits use :func:`repro.training.baseline.grow_cart_tree`; the tests
+    compare it against this depth-first builder (bit-identical trees
+    without feature subsampling, the same distribution with it).
+    """
+    n_features = matrix.shape[1]
+
+    def build(rows: np.ndarray, depth: int) -> BaselineNode:
+        local_labels = labels[rows]
+        n = rows.shape[0]
+        n_plus = int(local_labels.sum())
+        pure = n_plus in (0, n)
+        depth_capped = max_depth is not None and depth >= max_depth
+        if n < min_samples_split or pure or depth_capped:
+            return majority_leaf(local_labels)
+
+        if max_features_sqrt:
+            k = max(1, round(np.sqrt(n_features)))
+            features = rng.choice(n_features, size=k, replace=False)
+        else:
+            features = np.arange(n_features)
+
+        best_feature = -1
+        best_threshold = -1
+        best_impurity = np.inf
+        for feature in features:
+            codes = matrix[rows, feature]
+            result = best_threshold_for_feature(codes, local_labels, n_values[feature])
+            if result is None:
+                continue
+            threshold, impurity = result
+            if impurity < best_impurity:
+                best_feature, best_threshold, best_impurity = int(feature), threshold, impurity
+
+        if best_feature < 0:
+            return majority_leaf(local_labels)
+        goes_left = matrix[rows, best_feature] <= best_threshold
+        left_rows = rows[goes_left]
+        right_rows = rows[~goes_left]
+        if (
+            left_rows.shape[0] < min_samples_leaf
+            or right_rows.shape[0] < min_samples_leaf
+        ):
+            return majority_leaf(local_labels)
+        return BaselineSplit(
+            feature=best_feature,
+            threshold=best_threshold,
+            left=build(left_rows, depth + 1),
+            right=build(right_rows, depth + 1),
+        )
+
+    return build(rows, 0)

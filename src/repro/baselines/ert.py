@@ -34,11 +34,6 @@ class ExtraTreesClassifier:
         min_samples_leaf: ``n_min`` stop threshold (paper: 2).
         n_candidates: candidate attributes per node; ``None`` selects
             ``sqrt(n_features)``.
-        trainer: growth strategy -- "recursive" (node-at-a-time reference)
-            or "frontier" (level-synchronous histogram growth, see
-            :func:`repro.training.baseline.grow_ert_tree`). The two match
-            in distribution (random draws are consumed breadth-first
-            instead of depth-first).
         seed: ensemble random seed.
     """
 
@@ -47,19 +42,15 @@ class ExtraTreesClassifier:
         n_estimators: int = 100,
         min_samples_leaf: int = 2,
         n_candidates: int | None = None,
-        trainer: str = "recursive",
         seed: int | None = None,
     ) -> None:
         if n_estimators < 1:
             raise ValueError("n_estimators must be positive")
         if min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be at least 1")
-        if trainer not in ("recursive", "frontier"):
-            raise ValueError(f"unsupported trainer {trainer!r}")
         self.n_estimators = n_estimators
         self.min_samples_leaf = min_samples_leaf
         self.n_candidates = n_candidates
-        self.trainer = trainer
         self.seed = seed
         self._trees: list[BaselineNode] = []
 
@@ -72,46 +63,69 @@ class ExtraTreesClassifier:
         labels = dataset.labels.astype(np.int64)
         rng = np.random.default_rng(self.seed)
         rows = np.arange(dataset.n_rows, dtype=np.int64)
-        if self.trainer == "frontier":
-            from repro.training.baseline import grow_ert_tree
+        # Imported here: repro.training.baseline imports this package.
+        from repro.training.baseline import grow_ert_tree
 
-            n_values = tuple(feature.n_values for feature in dataset.schema)
-            columns = [
-                np.ascontiguousarray(matrix[:, f]) for f in range(matrix.shape[1])
-            ]
-            self._trees = [
-                grow_ert_tree(
-                    columns,
-                    labels,
-                    n_values,
-                    rows,
-                    min_samples_leaf=self.min_samples_leaf,
-                    n_candidates=self.n_candidates,
-                    rng=tree_rng,
-                )
-                for tree_rng in rng.spawn(self.n_estimators)
-            ]
-            return self
+        n_values = tuple(feature.n_values for feature in dataset.schema)
+        columns = [np.ascontiguousarray(matrix[:, f]) for f in range(matrix.shape[1])]
         self._trees = [
-            self._build(matrix, labels, rows, tree_rng)
+            grow_ert_tree(
+                columns,
+                labels,
+                n_values,
+                rows,
+                min_samples_leaf=self.min_samples_leaf,
+                n_candidates=self.n_candidates,
+                rng=tree_rng,
+            )
             for tree_rng in rng.spawn(self.n_estimators)
         ]
         return self
 
-    def _build(
-        self,
-        matrix: np.ndarray,
-        labels: np.ndarray,
-        rows: np.ndarray,
-        rng: np.random.Generator,
-    ) -> BaselineNode:
+    def _require_fitted(self) -> None:
+        if not self._trees:
+            raise NotFittedError("the extra-trees ensemble has not been fitted yet")
+
+    def predict_batch(self, dataset: Dataset) -> np.ndarray:
+        self._require_fitted()
+        matrix = dataset.feature_matrix()
+        votes = np.zeros(dataset.n_rows, dtype=np.int64)
+        for root in self._trees:
+            votes += predict_matrix(root, matrix)
+        return (2 * votes > len(self._trees)).astype(np.uint8)
+
+    def predict(self, values: np.ndarray) -> int:
+        self._require_fitted()
+        values = np.asarray(values, dtype=np.int64)
+        votes = sum(predict_values(root, values) for root in self._trees)
+        return 1 if 2 * votes > len(self._trees) else 0
+
+
+def grow_ert_recursive(
+    matrix: np.ndarray,
+    labels: np.ndarray,
+    rows: np.ndarray,
+    *,
+    min_samples_leaf: int,
+    n_candidates: int | None,
+    rng: np.random.Generator,
+) -> BaselineNode:
+    """Node-at-a-time ERT growth: the reference for ``grow_ert_tree``.
+
+    Fits use :func:`repro.training.baseline.grow_ert_tree`, which draws
+    the same random quantities breadth-first instead of depth-first; the
+    tests compare the two in distribution.
+    """
+    n_features = matrix.shape[1]
+    k_default = max(1, round(np.sqrt(n_features)))
+
+    def build(rows: np.ndarray) -> BaselineNode:
         local_labels = labels[rows]
         n = rows.shape[0]
         n_plus = int(local_labels.sum())
-        if n <= self.min_samples_leaf or n_plus in (0, n):
+        if n <= min_samples_leaf or n_plus in (0, n):
             return majority_leaf(local_labels)
 
-        n_features = matrix.shape[1]
         local = matrix[rows]
         mins = local.min(axis=0)
         maxs = local.max(axis=0)
@@ -119,8 +133,7 @@ class ExtraTreesClassifier:
         if non_constant.size == 0:
             return majority_leaf(local_labels)
 
-        k_default = max(1, round(np.sqrt(n_features)))
-        k = min(self.n_candidates or k_default, non_constant.size)
+        k = min(n_candidates or k_default, non_constant.size)
         features = rng.choice(non_constant, size=k, replace=False)
 
         best_feature = -1
@@ -149,24 +162,8 @@ class ExtraTreesClassifier:
         return BaselineSplit(
             feature=best_feature,
             threshold=best_threshold,
-            left=self._build(matrix, labels, rows[goes_left], rng),
-            right=self._build(matrix, labels, rows[~goes_left], rng),
+            left=build(rows[goes_left]),
+            right=build(rows[~goes_left]),
         )
 
-    def _require_fitted(self) -> None:
-        if not self._trees:
-            raise NotFittedError("the extra-trees ensemble has not been fitted yet")
-
-    def predict_batch(self, dataset: Dataset) -> np.ndarray:
-        self._require_fitted()
-        matrix = dataset.feature_matrix()
-        votes = np.zeros(dataset.n_rows, dtype=np.int64)
-        for root in self._trees:
-            votes += predict_matrix(root, matrix)
-        return (2 * votes > len(self._trees)).astype(np.uint8)
-
-    def predict(self, values: np.ndarray) -> int:
-        self._require_fitted()
-        values = np.asarray(values, dtype=np.int64)
-        votes = sum(predict_values(root, values) for root in self._trees)
-        return 1 if 2 * votes > len(self._trees) else 0
+    return build(rows)

@@ -22,8 +22,6 @@ class RandomForestClassifier:
         min_samples_split: per-tree split threshold.
         min_samples_leaf: minimum child partition size.
         max_depth: optional depth cap.
-        trainer: per-tree growth strategy, "recursive" or "frontier"
-            (forwarded to :class:`DecisionTreeClassifier`).
         seed: seed for bootstrap sampling and feature subsets.
     """
 
@@ -33,18 +31,14 @@ class RandomForestClassifier:
         min_samples_split: int = 2,
         min_samples_leaf: int = 1,
         max_depth: int | None = None,
-        trainer: str = "recursive",
         seed: int | None = None,
     ) -> None:
         if n_estimators < 1:
             raise ValueError("n_estimators must be positive")
-        if trainer not in ("recursive", "frontier"):
-            raise ValueError(f"unsupported trainer {trainer!r}")
         self.n_estimators = n_estimators
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
         self.max_depth = max_depth
-        self.trainer = trainer
         self.seed = seed
         self._trees: list[DecisionTreeClassifier] = []
 
@@ -65,7 +59,6 @@ class RandomForestClassifier:
                 min_samples_leaf=self.min_samples_leaf,
                 max_depth=self.max_depth,
                 max_features="sqrt",
-                trainer=self.trainer,
                 seed=int(tree_rng.integers(0, 2**31 - 1)),
             )
             tree.fit_arrays(matrix[sample], labels[sample])

@@ -16,8 +16,6 @@ Module map (paper section in parentheses):
   arrays with incremental leaf sync, walked by the compiled traversal
   kernel of :mod:`repro.native` (the data-structure item of Section 8).
 * :mod:`repro.core.ensemble`    -- the public :class:`HedgeCutClassifier`.
-* :mod:`repro.core.regression`  -- :class:`HedgeCutRegressor`, the regression
-  extension sketched as future work in Section 8.
 """
 
 from repro.core.ensemble import HedgeCutClassifier
@@ -27,22 +25,18 @@ from repro.core.exceptions import (
     UnlearningError,
 )
 from repro.core.importance import feature_importance, top_features
-from repro.core.multiclass_model import MulticlassHedgeCut
 from repro.core.inspect import inspect_model, render_tree
 from repro.core.packed import PackedEnsemble
 from repro.core.params import HedgeCutParams
-from repro.core.regression import HedgeCutRegressor
 from repro.core.validation import validate_model
 
 __all__ = [
     "HedgeCutClassifier",
-    "HedgeCutRegressor",
     "HedgeCutParams",
     "PackedEnsemble",
     "DeletionBudgetExhausted",
     "NotFittedError",
     "UnlearningError",
-    "MulticlassHedgeCut",
     "feature_importance",
     "top_features",
     "inspect_model",

@@ -39,7 +39,7 @@ from repro.core.unlearning import (
     plan_unlearn,
 )
 from repro.dataprep.dataset import Dataset, FeatureSchema, Record
-from repro.training import build_tree
+from repro.training.frontier import FrontierTreeBuilder
 
 
 @dataclass(frozen=True)
@@ -93,9 +93,6 @@ class HedgeCutClassifier:
             ``sqrt(n_features)``.
         robustness_mode: "greedy" / "verified" / "off", see
             :class:`HedgeCutParams`.
-        trainer: tree-growth strategy, "recursive" (node-at-a-time
-            reference) or "frontier" (level-synchronous histogram
-            trainer), see :class:`HedgeCutParams`.
         max_maintenance_depth: cap on nested maintenance nodes per path,
             see :class:`HedgeCutParams`.
         topd: number of random, statistics-frozen top levels per tree
@@ -129,7 +126,6 @@ class HedgeCutClassifier:
         min_leaf_size: int = 2,
         n_candidates: int | None = None,
         robustness_mode: str = "greedy",
-        trainer: str = "recursive",
         max_maintenance_depth: int | None = 1,
         topd: int = 0,
         n_jobs: int = 1,
@@ -142,7 +138,6 @@ class HedgeCutClassifier:
             min_leaf_size=min_leaf_size,
             n_candidates=n_candidates,
             robustness_mode=robustness_mode,
-            trainer=trainer,
             max_maintenance_depth=max_maintenance_depth,
             topd=topd,
             n_jobs=n_jobs,
@@ -200,7 +195,8 @@ class HedgeCutClassifier:
                 )
         else:
             self._trees = [
-                build_tree(dataset, self.params, tree_rng) for tree_rng in tree_rngs
+                FrontierTreeBuilder(dataset, self.params, tree_rng).build()
+                for tree_rng in tree_rngs
             ]
         self._packed = None
         self._schema = dataset.schema
@@ -595,7 +591,6 @@ class HedgeCutClassifier:
             min_leaf_size=params.min_leaf_size,
             n_candidates=params.n_candidates,
             robustness_mode=params.robustness_mode,
-            trainer=params.trainer,
             max_maintenance_depth=params.max_maintenance_depth,
             topd=params.topd,
             n_jobs=params.n_jobs,
@@ -703,4 +698,5 @@ def _pool_initializer(dataset: Dataset, params: HedgeCutParams) -> None:
 
 def _pool_build_tree(rng: np.random.Generator) -> HedgeCutTree:
     """Process-pool entry point: build one tree from the shared state."""
-    return build_tree(_POOL_STATE["dataset"], _POOL_STATE["params"], rng)
+    builder = FrontierTreeBuilder(_POOL_STATE["dataset"], _POOL_STATE["params"], rng)
+    return builder.build()

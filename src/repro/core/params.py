@@ -16,9 +16,6 @@ from dataclasses import dataclass
 #: Robustness verification modes, see :class:`HedgeCutParams.robustness_mode`.
 ROBUSTNESS_MODES = ("greedy", "beam", "verified", "off")
 
-#: Tree-growth strategies, see :class:`HedgeCutParams.trainer`.
-TRAINERS = ("recursive", "frontier")
-
 
 @dataclass(frozen=True)
 class HedgeCutParams:
@@ -55,23 +52,6 @@ class HedgeCutParams:
               otherwise. Slower, strictly more conservative.
             * ``"off"`` disables robustness analysis entirely, yielding a
               plain ERT with global proposals (used by ablation benchmarks).
-        trainer: tree-growth strategy.
-
-            * ``"recursive"`` (default) is the reference implementation:
-              node-by-node depth-first growth with per-candidate scan
-              kernels and in-place range partitioning
-              (:class:`~repro.core.tree.TreeBuilder`).
-            * ``"frontier"`` grows all nodes of a depth level at once:
-              per-level composite-key ``bincount`` histograms provide
-              every candidate statistic for every frontier node in a
-              handful of numpy passes, the robustness pre-screen runs
-              vectorised across the level, and rows are routed to
-              children by permutation updates instead of physical column
-              copies (:class:`~repro.training.frontier.FrontierTreeBuilder`).
-              Markedly faster on non-trivial datasets; trees are drawn
-              from the same distribution as the recursive builder's but
-              differ for a given seed because candidate draws happen in
-              breadth-first instead of depth-first order.
         max_maintenance_depth: maximum number of maintenance nodes allowed
             on any root-to-leaf path (counting through subtree variants).
             Below the cap, non-robust positions fall back to the best
@@ -109,7 +89,6 @@ class HedgeCutParams:
     min_leaf_size: int = 2
     n_candidates: int | None = None
     robustness_mode: str = "greedy"
-    trainer: str = "recursive"
     max_maintenance_depth: int | None = 1
     topd: int = 0
     n_jobs: int = 1
@@ -132,10 +111,6 @@ class HedgeCutParams:
             raise ValueError(
                 f"robustness_mode must be one of {ROBUSTNESS_MODES}, "
                 f"got {self.robustness_mode!r}"
-            )
-        if self.trainer not in TRAINERS:
-            raise ValueError(
-                f"trainer must be one of {TRAINERS}, got {self.trainer!r}"
             )
         if self.max_maintenance_depth is not None and self.max_maintenance_depth < 0:
             raise ValueError(

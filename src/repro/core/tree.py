@@ -111,8 +111,7 @@ def _random_split(feature: int, dataset, rng: np.random.Generator) -> Split | No
     Numeric features draw a cut point uniformly over the global quantile
     boundaries; categorical features draw a uniformly random proper,
     non-empty subset of the domain. Features whose global domain has fewer
-    than two values cannot be split. ``dataset`` only needs a ``schema``
-    attribute (the regression extension passes a facade).
+    than two values cannot be split.
     """
     schema = dataset.schema[feature]
     n_values = schema.n_values
@@ -184,7 +183,12 @@ def judge_best(
 
 
 class TreeBuilder:
-    """Grows a single HedgeCut tree over a dataset."""
+    """Grows a single HedgeCut tree over a dataset, one node at a time.
+
+    The depth-first reference that the tests compare
+    :class:`~repro.training.frontier.FrontierTreeBuilder` against; every
+    fit grows its trees with the frontier builder.
+    """
 
     def __init__(
         self, dataset: Dataset, params: HedgeCutParams, rng: np.random.Generator

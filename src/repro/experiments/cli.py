@@ -135,7 +135,6 @@ def _run_sharded_snapshot(config: ExperimentConfig, store_path: str) -> str:
         n_trees=config.n_trees,
         epsilon=config.epsilon,
         max_tries_per_split=config.max_tries_per_split,
-        trainer=config.trainer,
         topd=config.topd,
         seed=config.seed,
     ).fit(dataset)
@@ -192,7 +191,6 @@ def _run_snapshot(config: ExperimentConfig, store_path: str) -> str:
         n_trees=config.n_trees,
         epsilon=config.epsilon,
         max_tries_per_split=config.max_tries_per_split,
-        trainer=config.trainer,
         topd=config.topd,
         seed=config.seed,
     ).fit(dataset)
@@ -268,7 +266,6 @@ def _run_serve(config: ExperimentConfig, args) -> str:
         n_trees=config.n_trees,
         epsilon=config.epsilon,
         max_tries_per_split=config.max_tries_per_split,
-        trainer=config.trainer,
         topd=config.topd,
         seed=config.seed,
     ).fit(dataset)
@@ -363,14 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="subset of datasets (default: all five)",
     )
     parser.add_argument(
-        "--trainer",
-        choices=["recursive", "frontier"],
-        default="recursive",
-        help="tree-growth strategy for HedgeCut and the tree baselines "
-        "(frontier = level-synchronous histogram trainer; same model "
-        "distribution, faster training)",
-    )
-    parser.add_argument(
         "--topd",
         type=int,
         default=0,
@@ -439,7 +428,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         repeats=args.repeats,
         seed=args.seed,
         datasets=tuple(args.datasets) if args.datasets else available_datasets(),
-        trainer=args.trainer,
         shards=args.shards,
         topd=args.topd,
     )

@@ -26,11 +26,6 @@ class ExperimentConfig:
         datasets: datasets to include, in Table 1 order.
         epsilon: unlearnable fraction (paper sweet spot 0.1%).
         max_tries_per_split: ``B`` (paper sweet spot 5).
-        trainer: tree-growth strategy for HedgeCut and the tree baselines,
-            "recursive" (node-at-a-time reference) or "frontier"
-            (level-synchronous histogram trainer). The learned model
-            distribution is the same either way; "frontier" changes only
-            the training wall-clock.
         shards: SISA shard count for the operational commands; ``1`` keeps
             the unsharded model, larger values train a
             :class:`~repro.sharding.model.ShardedHedgeCut` (``n_trees``
@@ -48,7 +43,6 @@ class ExperimentConfig:
     datasets: tuple[str, ...] = field(default_factory=available_datasets)
     epsilon: float = 0.001
     max_tries_per_split: int = 5
-    trainer: str = "recursive"
     shards: int = 1
     topd: int = 0
 
@@ -62,8 +56,6 @@ class ExperimentConfig:
         unknown = set(self.datasets) - set(DATASETS)
         if unknown:
             raise ValueError(f"unknown datasets: {sorted(unknown)}")
-        if self.trainer not in ("recursive", "frontier"):
-            raise ValueError(f"unsupported trainer {self.trainer!r}")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
         if self.n_trees % self.shards != 0:

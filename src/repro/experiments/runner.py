@@ -41,7 +41,6 @@ def make_hedgecut(config: ExperimentConfig, seed: int, **overrides) -> HedgeCutC
         "epsilon": config.epsilon,
         "max_tries_per_split": config.max_tries_per_split,
         "min_leaf_size": 2,
-        "trainer": config.trainer,
         "seed": seed,
     }
     settings.update(overrides)
@@ -51,16 +50,13 @@ def make_hedgecut(config: ExperimentConfig, seed: int, **overrides) -> HedgeCutC
 def make_baseline(name: str, config: ExperimentConfig, seed: int):
     """Instantiate one of the paper's baselines with its Section 6.1 setup."""
     if name == "decision tree":
-        return DecisionTreeClassifier(trainer=config.trainer, seed=seed)
+        return DecisionTreeClassifier(seed=seed)
     if name == "random forest":
-        return RandomForestClassifier(
-            n_estimators=config.n_trees, trainer=config.trainer, seed=seed
-        )
+        return RandomForestClassifier(n_estimators=config.n_trees, seed=seed)
     if name == "ert":
         return ExtraTreesClassifier(
             n_estimators=config.n_trees,
             min_samples_leaf=2,
-            trainer=config.trainer,
             seed=seed,
         )
     raise ValueError(f"unknown baseline {name!r}")

@@ -38,7 +38,7 @@ import os
 import time
 import zipfile
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +66,16 @@ _KIND_LEAF, _KIND_SPLIT, _KIND_MAINTENANCE = 0, 1, 2
 #: leave this sentinel in the column.
 _PAYLOAD_OVERFLOW = -1
 _INT63_LIMIT = 1 << 62
+
+#: Params keys that older snapshots store but that no longer configure
+#: anything: ``trainer`` recorded how the trees were grown, not what they
+#: are, so a decoded snapshot is the same model without it.
+_RETIRED_PARAMS = frozenset({"trainer"})
+
+#: Params keys that may be absent and then load with the field's default.
+#: Snapshots written before ``topd`` existed have neither the key nor a
+#: ``node_random`` column, and ``topd=0`` is exactly their trees.
+_OPTIONAL_PARAMS = frozenset({"topd"})
 
 
 class SnapshotFormatError(HedgeCutError):
@@ -393,6 +403,23 @@ def _make_split(
     )
 
 
+def _params_from_meta(stored: dict) -> HedgeCutParams:
+    """Rebuild the hyperparameters, rejecting keys this build cannot honour."""
+    stored = {key: value for key, value in stored.items() if key not in _RETIRED_PARAMS}
+    known = {field.name for field in fields(HedgeCutParams)}
+    unknown = sorted(set(stored) - known)
+    missing = sorted(known - set(stored) - _OPTIONAL_PARAMS)
+    if unknown or missing:
+        raise SnapshotFormatError(
+            f"snapshot params do not match this build "
+            f"(unknown keys {unknown}, missing keys {missing})"
+        )
+    try:
+        return HedgeCutParams(**stored)
+    except (TypeError, ValueError) as error:
+        raise SnapshotFormatError(f"invalid snapshot params: {error}") from error
+
+
 def load_snapshot(path: str | Path) -> tuple[HedgeCutClassifier, SnapshotInfo]:
     """Restore a model from a snapshot, verifying format and integrity."""
     path = Path(path)
@@ -414,7 +441,7 @@ def load_snapshot(path: str | Path) -> tuple[HedgeCutClassifier, SnapshotInfo]:
         )
         for entry in meta["schema"]
     )
-    params = HedgeCutParams(**meta["params"])
+    params = _params_from_meta(meta["params"])
     node_overflow = meta["payload_overflow"]["nodes"]
     variant_overflow = meta["payload_overflow"]["variants"]
 

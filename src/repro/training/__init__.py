@@ -1,32 +1,15 @@
-"""Training strategies: level-synchronous (frontier) tree growth.
+"""Training: level-synchronous (frontier) tree growth.
 
-The reference learners grow trees one node at a time; this package grows
-all growth points of a depth level at once over shared per-level count
-histograms. :func:`build_tree` is the strategy dispatch used by
-:class:`~repro.core.ensemble.HedgeCutClassifier`.
+Every HedgeCut tree and every baseline tree is grown one depth level at a
+time over shared per-level count histograms
+(:class:`~repro.training.frontier.FrontierTreeBuilder` for HedgeCut,
+:mod:`repro.training.baseline` for CART, Random Forest and ERT).
 """
 
-from __future__ import annotations
-
-import numpy as np
-
-from repro.core.params import HedgeCutParams
-from repro.core.tree import HedgeCutTree, TreeBuilder
-from repro.dataprep.dataset import Dataset
 from repro.training.frontier import FrontierTreeBuilder
 from repro.training.histogram import LevelHistograms
 
 __all__ = [
     "FrontierTreeBuilder",
     "LevelHistograms",
-    "build_tree",
 ]
-
-
-def build_tree(
-    dataset: Dataset, params: HedgeCutParams, rng: np.random.Generator
-) -> HedgeCutTree:
-    """Grow one HedgeCut tree with the strategy selected by ``params.trainer``."""
-    if params.trainer == "frontier":
-        return FrontierTreeBuilder(dataset, params, rng).build()
-    return TreeBuilder(dataset, params, rng).build()

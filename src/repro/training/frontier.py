@@ -1,4 +1,4 @@
-"""Level-synchronous HedgeCut tree growth (the frontier trainer).
+"""Level-synchronous HedgeCut tree growth: the builder behind every fit.
 
 The reference :class:`~repro.core.tree.TreeBuilder` grows one node at a
 time: every candidate split of every node costs a kernel scan over the
@@ -156,9 +156,11 @@ class _TrialBatch:
 class FrontierTreeBuilder:
     """Grows a single HedgeCut tree level-synchronously.
 
-    Drop-in alternative to :class:`~repro.core.tree.TreeBuilder` (same
-    constructor signature, same :meth:`build` contract), selected via
-    ``HedgeCutParams.trainer="frontier"``.
+    Grows every tree of :meth:`HedgeCutClassifier.fit
+    <repro.core.ensemble.HedgeCutClassifier.fit>`. It keeps the constructor
+    signature and :meth:`build` contract of the node-at-a-time
+    :class:`~repro.core.tree.TreeBuilder`, which the equivalence tests use
+    as the reference.
     """
 
     def __init__(

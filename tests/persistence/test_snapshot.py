@@ -12,10 +12,12 @@ from repro.persistence.snapshot import (
     SNAPSHOT_VERSION,
     SnapshotFormatError,
     SnapshotIntegrityError,
+    _checksum,
     load_snapshot,
     read_snapshot_info,
     save_snapshot,
 )
+from repro.persistence.store import ModelStore
 
 from tests.conftest import make_random_dataset
 
@@ -161,3 +163,84 @@ class TestInfo:
         assert info.n_nodes == written.n_nodes
         assert info.checksum == written.checksum
         assert info.size_bytes == path.stat().st_size > 0
+
+
+def _rewrite_params(path, edit) -> None:
+    """Apply ``edit`` to a snapshot's stored params and re-seal its checksum.
+
+    The result is a well-formed, integrity-checked file whose params differ
+    from what this build writes -- as a snapshot from another build would.
+    """
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = {key: archive[key] for key in archive.files if key != "__meta__"}
+        meta = json.loads(str(archive["__meta__"]))
+    edit(meta["params"])
+    meta["checksum"] = _checksum(arrays, meta)
+    with open(path, "wb") as sink:
+        np.savez_compressed(
+            sink, __meta__=np.array(json.dumps(meta, sort_keys=True)), **arrays
+        )
+
+
+class TestStoredParams:
+    def test_legacy_trainer_key_loads_bit_identically(
+        self, tmp_path, noisy_model_and_data
+    ):
+        model, dataset = noisy_model_and_data
+        path = tmp_path / "m.npz"
+        save_snapshot(model, path)
+        _rewrite_params(path, lambda params: params.update(trainer="recursive"))
+        restored, _ = load_snapshot(path)
+        matrix = dataset.feature_matrix()
+        assert restored.params == model.params
+        assert np.array_equal(
+            restored.predict_proba_rows(matrix), model.predict_proba_rows(matrix)
+        )
+
+    def test_store_recovers_from_legacy_trainer_key(
+        self, tmp_path, noisy_model_and_data
+    ):
+        model, dataset = noisy_model_and_data
+        with ModelStore(tmp_path / "store") as store:
+            store.save_snapshot(model, wal_seq=0)
+            (path,) = store.snapshot_paths()
+        _rewrite_params(path, lambda params: params.update(trainer="recursive"))
+        recovered = ModelStore(tmp_path / "store").recover()
+        matrix = dataset.feature_matrix()
+        assert recovered.skipped_snapshots == []
+        assert np.array_equal(
+            recovered.model.predict_proba_rows(matrix),
+            model.predict_proba_rows(matrix),
+        )
+
+    def test_pre_topd_snapshot_loads_with_topd_zero(
+        self, tmp_path, noisy_model_and_data
+    ):
+        model, dataset = noisy_model_and_data
+        path = tmp_path / "m.npz"
+        save_snapshot(model, path)
+        _rewrite_params(path, lambda params: params.pop("topd"))
+        restored, _ = load_snapshot(path)
+        assert restored.params.topd == 0
+        assert np.array_equal(
+            restored.predict_batch(dataset), model.predict_batch(dataset)
+        )
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda params: params.update(bogus=1),
+            lambda params: params.pop("epsilon"),
+            lambda params: params.update(n_trees=0),
+        ],
+        ids=["unknown-key", "missing-key", "invalid-value"],
+    )
+    def test_mismatched_params_raise_format_error(
+        self, tmp_path, noisy_model_and_data, edit
+    ):
+        model, _ = noisy_model_and_data
+        path = tmp_path / "m.npz"
+        save_snapshot(model, path)
+        _rewrite_params(path, edit)
+        with pytest.raises(SnapshotFormatError):
+            load_snapshot(path)

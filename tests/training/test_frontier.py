@@ -26,7 +26,6 @@ from repro.core.params import HedgeCutParams
 from repro.core.tree import TreeBuilder
 from repro.datasets.registry import available_datasets, load_dataset
 from repro.evaluation.splits import train_test_split
-from repro.training import build_tree
 from repro.training.frontier import FrontierTreeBuilder
 
 from tests.conftest import make_random_dataset
@@ -61,6 +60,24 @@ def check_node(node) -> tuple[int, int]:
     return totals.pop()
 
 
+def fit_recursive(train, n_trees: int, seed: int) -> HedgeCutClassifier:
+    """An ensemble grown by the recursive reference :class:`TreeBuilder`.
+
+    Same params and per-tree random streams as ``HedgeCutClassifier.fit``;
+    only the builder differs.
+    """
+    params = HedgeCutParams(n_trees=n_trees, seed=seed)
+    tree_rngs = np.random.default_rng(seed).spawn(n_trees)
+    return HedgeCutClassifier.from_state(
+        params=params,
+        trees=[TreeBuilder(train, params, rng).build() for rng in tree_rngs],
+        schema=train.schema,
+        deletion_budget=params.deletion_budget(train.n_rows),
+        n_unlearned=0,
+        n_trained_on=train.n_rows,
+    )
+
+
 class TestFrontierStructure:
     def test_tree_invariants_hold(self, income_small):
         params = HedgeCutParams(seed=5)
@@ -80,20 +97,6 @@ class TestFrontierStructure:
         assert counters.leaves > 0
         assert counters.trials >= counters.robust_splits
         assert counters.variants_grown >= 2 * counters.maintenance_nodes
-
-    def test_build_tree_dispatches_on_params(self, income_small):
-        rng = np.random.default_rng(7)
-        recursive = build_tree(income_small, HedgeCutParams(), rng)
-        check_node(recursive.root)
-        rng = np.random.default_rng(7)
-        frontier = build_tree(income_small, HedgeCutParams(trainer="frontier"), rng)
-        check_node(frontier.root)
-
-    def test_rejects_unknown_trainer(self):
-        with pytest.raises(ValueError, match="trainer"):
-            HedgeCutParams(trainer="bogus")
-        with pytest.raises(ValueError, match="trainer"):
-            HedgeCutClassifier(trainer="bogus")
 
 
 class TestFrontierEquivalence:
@@ -117,10 +120,8 @@ class TestFrontierEquivalence:
 
     def test_predict_proba_parity_on_holdout(self, income_split):
         train, test = income_split
-        recursive = HedgeCutClassifier(n_trees=8, seed=31).fit(train)
-        frontier = HedgeCutClassifier(n_trees=8, trainer="frontier", seed=31).fit(
-            train
-        )
+        recursive = fit_recursive(train, n_trees=8, seed=31)
+        frontier = HedgeCutClassifier(n_trees=8, seed=31).fit(train)
         labels = test.labels
         acc_rec = float((recursive.predict_batch(test) == labels).mean())
         acc_fro = float((frontier.predict_batch(test) == labels).mean())
@@ -135,12 +136,8 @@ class TestFrontierEquivalence:
 
     def test_pool_equals_sequential_for_frontier(self):
         dataset = make_random_dataset(n_rows=250, seed=64)
-        sequential = HedgeCutClassifier(n_trees=4, trainer="frontier", seed=64).fit(
-            dataset
-        )
-        parallel = HedgeCutClassifier(
-            n_trees=4, trainer="frontier", seed=64, n_jobs=2
-        ).fit(dataset)
+        sequential = HedgeCutClassifier(n_trees=4, seed=64).fit(dataset)
+        parallel = HedgeCutClassifier(n_trees=4, seed=64, n_jobs=2).fit(dataset)
         assert np.array_equal(
             sequential.predict_proba_batch(dataset),
             parallel.predict_proba_batch(dataset),
@@ -152,9 +149,9 @@ class TestFrontierEquivalence:
 
 class TestFrontierUnlearning:
     def test_unlearning_round_trip_after_frontier_fit(self, income_small):
-        model = HedgeCutClassifier(
-            n_trees=4, epsilon=0.02, trainer="frontier", seed=41
-        ).fit(income_small)
+        model = HedgeCutClassifier(n_trees=4, epsilon=0.02, seed=41).fit(
+            income_small
+        )
         budget = model.deletion_budget
         assert budget >= 2
         before = model.predict_proba_batch(income_small)
@@ -170,9 +167,9 @@ class TestFrontierUnlearning:
             check_node(tree.root)
 
     def test_budget_exhaustion_raises(self, income_small):
-        model = HedgeCutClassifier(
-            n_trees=2, epsilon=0.005, trainer="frontier", seed=42
-        ).fit(income_small)
+        model = HedgeCutClassifier(n_trees=2, epsilon=0.005, seed=42).fit(
+            income_small
+        )
         for index in range(model.deletion_budget):
             model.unlearn(income_small.record(index))
         from repro.core.exceptions import DeletionBudgetExhausted
@@ -180,13 +177,10 @@ class TestFrontierUnlearning:
         with pytest.raises(DeletionBudgetExhausted):
             model.unlearn(income_small.record(model.deletion_budget))
 
-    def test_save_load_preserves_trainer(self, income_small, tmp_path):
-        model = HedgeCutClassifier(n_trees=2, trainer="frontier", seed=43).fit(
-            income_small
-        )
+    def test_pickle_save_load_round_trip(self, income_small, tmp_path):
+        model = HedgeCutClassifier(n_trees=2, seed=43).fit(income_small)
         model.save(tmp_path / "m.bin")
         restored = HedgeCutClassifier.load(tmp_path / "m.bin")
-        assert restored.params.trainer == "frontier"
         assert np.array_equal(
             model.predict_proba_batch(income_small),
             restored.predict_proba_batch(income_small),
@@ -201,10 +195,8 @@ class TestFrontierRegistryMatrix:
     def test_holdout_parity(self, name):
         dataset = load_dataset(name, n_rows=1500, seed=17)
         train, test = train_test_split(dataset, test_fraction=0.2, seed=17)
-        recursive = HedgeCutClassifier(n_trees=6, seed=17).fit(train)
-        frontier = HedgeCutClassifier(n_trees=6, trainer="frontier", seed=17).fit(
-            train
-        )
+        recursive = fit_recursive(train, n_trees=6, seed=17)
+        frontier = HedgeCutClassifier(n_trees=6, seed=17).fit(train)
         labels = test.labels
         acc_rec = float((recursive.predict_batch(test) == labels).mean())
         acc_fro = float((frontier.predict_batch(test) == labels).mean())

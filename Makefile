@@ -1,19 +1,19 @@
 # Developer entry points. The test suite expects the src layout on the
 # import path; PYTHONPATH=src avoids requiring an editable install.
 #
-# The native traversal kernel (src/repro/native/kernel.c) is compiled with
-# cffi and gcc on first import and cached in src/repro/native/_build/, so
-# the first `make test` (or any first run) builds it; `make native`
-# rebuilds it explicitly with warnings as errors.
+# The native kernels (src/repro/native/kernel.c and write.c) are compiled
+# with cffi and gcc on first import and cached in src/repro/native/_build/,
+# so the first `make test` (or any first run) builds them; `make native`
+# rebuilds them explicitly with warnings as errors.
 
 PYTHON ?= python
 PYTHONPATH := src
 
 export PYTHONPATH
 
-.PHONY: native test test-all bench-smoke bench-inference bench-unlearning bench-sharding bench-serving profile-unlearn lint
+.PHONY: native test test-all bench-smoke bench-inference bench-sharding bench-serving lint
 
-## Rebuild the native kernel into its cache with -Wall -Wextra -Werror.
+## Rebuild the native kernels into their cache with -Wall -Wextra -Werror.
 native:
 	$(PYTHON) src/repro/native/build.py --werror
 
@@ -36,16 +36,6 @@ bench-smoke:
 ## BENCH_inference.json at the repo root.
 bench-inference:
 	$(PYTHON) benchmarks/bench_inference.py
-
-## Batch-unlearning benchmark (scalar loop vs vectorised kernel);
-## machine-readable results land in BENCH_unlearning.json at the repo root.
-bench-unlearning:
-	$(PYTHON) benchmarks/bench_unlearning.py
-
-## cProfile the single-record unlearning fast path (2000-deletion
-## campaign; prints top entries by cumulative and self time).
-profile-unlearn:
-	$(PYTHON) benchmarks/profile_unlearn.py
 
 ## SISA sharding benchmark (deletion throughput and predict latency at
 ## K in {1,2,4,8}, K=1 bit-identity and the K=4 >= 2x scaling bar asserted

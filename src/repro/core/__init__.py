@@ -15,6 +15,9 @@ Module map (paper section in parentheses):
 * :mod:`repro.core.packed`      -- the whole ensemble packed into flat
   arrays with incremental leaf sync, walked by the compiled traversal
   kernel of :mod:`repro.native` (the data-structure item of Section 8).
+* :mod:`repro.core.writes`      -- the write pack: the one store of
+  counts, gains and active variants, updated by the compiled write
+  kernel for every deletion and insertion.
 * :mod:`repro.core.ensemble`    -- the public :class:`HedgeCutClassifier`.
 """
 

@@ -23,20 +23,31 @@ from repro.core.exceptions import (
     NotFittedError,
     UnlearningError,
 )
-from repro.core.nodes import Leaf, MaintenanceNode, NodeCensus, SplitNode, census
+from repro.core.nodes import (
+    Leaf,
+    MaintenanceNode,
+    NodeCensus,
+    SplitNode,
+    census,
+    iter_nodes,
+)
 from repro.core.packed import PackedEnsemble
 from repro.core.params import HedgeCutParams
 from repro.core.tree import HedgeCutTree
-from repro.core.unlearn_batch import unlearn_batch_packed
-from repro.core.unlearn_fast import (
-    learn_one_packed,
-    unlearn_one_packed,
-    unlearn_small_batch,
-)
 from repro.core.unlearning import (
     UnlearningReport,
     apply_unlearn,
     plan_unlearn,
+)
+
+# The native write kernel's entry points are looked up in this module's
+# namespace on every call, so a tracer can wrap them here;
+# ``unlearn_small_batch`` is kept for the tracer alone.
+from repro.core.writes import (  # noqa: F401
+    learn_one_packed,
+    unlearn_batch_packed,
+    unlearn_one_packed,
+    unlearn_small_batch,
 )
 from repro.dataprep.dataset import Dataset, FeatureSchema, Record
 from repro.training.frontier import FrontierTreeBuilder
@@ -107,16 +118,6 @@ class HedgeCutClassifier:
         label = model.predict(train.record(0))
         model.unlearn(train.record(0))        # GDPR deletion request
     """
-
-    #: Batches strictly smaller than this route through the scalar fast
-    #: path looped per record (:func:`repro.core.unlearn_fast.
-    #: unlearn_small_batch`) instead of the vectorised kernel, whose fixed
-    #: numpy overhead only amortises above the crossover.
-    #: ``benchmarks/bench_unlearning.py`` measures the crossover on the
-    #: credit config and records it in BENCH_unlearning.json; the kernel
-    #: first beats the scalar loop at batch 32 there (the scalar loop's
-    #: per-record cost is flat, the kernel's fixed setup amortises away).
-    small_batch_threshold = 32
 
     def __init__(
         self,
@@ -233,10 +234,10 @@ class HedgeCutClassifier:
         """The packed whole-ensemble form every read goes through (built
         lazily once).
 
-        The pack is *maintained* under unlearning rather than rebuilt:
-        leaf decrements write through to its flat arrays in O(1), and the
-        rare maintenance-node variant switch splices only the switched
-        node's reserved span.
+        The pack is *maintained* under writes rather than rebuilt: the
+        write kernel updates its leaf rows in place, and the rare
+        maintenance-node variant switch splices only the switched node's
+        reserved span.
         """
         self._require_fitted()
         if self._packed is None:
@@ -343,11 +344,11 @@ class HedgeCutClassifier:
             allow_budget_overrun: continue past the deletion budget,
                 accepting an approximate model, instead of raising
                 :class:`DeletionBudgetExhausted`.
-            path: ``"auto"`` (default) takes the scalar fast path of
-                :mod:`repro.core.unlearn_fast` whenever the packed kernel
-                has been built (serving deployments; the engine warms it
+            path: ``"auto"`` (default) takes the native write kernel of
+                :mod:`repro.core.writes` whenever the packed kernel has
+                been built (serving deployments; the engine warms it
                 up-front) and the object walk otherwise; ``"fast"`` forces
-                the fast path, building the packs if needed; ``"object"``
+                the native path, building the packs if needed; ``"object"``
                 forces the reference object walk. All paths produce
                 bit-identical models and reports.
 
@@ -369,35 +370,22 @@ class HedgeCutClassifier:
         # Object path. Plan (and validate) the removal against every tree
         # before applying it to any of them: a record inconsistent with the
         # model raises here and leaves the whole ensemble untouched.
+        # On a packed model the objects are bound to the write pack's
+        # store, so these writes land where the kernel reads; leaves sync
+        # into the read pack, and switched nodes splice their spans.
         plans = [plan_unlearn(tree.root, record) for tree in self._trees]
         report = UnlearningReport()
         leaf_sink = self._packed.sync_leaf if self._packed is not None else None
-        for index, plan in enumerate(plans):
-            tree_report = apply_unlearn(plan, leaf_sink=leaf_sink)
-            if tree_report.variant_switches and self._packed is not None:
-                # Structure changed: re-splice this tree's switched spans.
-                self._packed.repack_tree(index)
-            report.merge(tree_report)
-        if self._packed is not None:
-            # The split statistics changed behind the packed stats mirror.
-            self._packed.mark_stats_stale()
+        for plan in plans:
+            report.merge(apply_unlearn(plan, leaf_sink=leaf_sink))
+            self._apply_switches(plan.rescores)
         self._n_unlearned += 1
         return report
 
     def _unlearn_one_fast(self, record: Record) -> UnlearningReport:
-        """One validated deletion through the scalar packed fast path.
-
-        Mirrors the decrements straight into the unlearn pack's flat
-        arrays (no staleness marking -- the mirrors stay fresh), syncs
-        mutated leaves into the read pack's arrays vectorised, and
-        repacks only switched trees, exactly like the batch kernel.
-        """
-        packed = self.packed
+        """One validated deletion through the native write kernel."""
         result = unlearn_one_packed(
-            packed.unlearn_pack(),
-            record.values,
-            record.label,
-            read_pack=packed,
+            self.packed.unlearn_pack(), record.values, record.label
         )
         self._apply_switches(result.switched_nodes)
         self._n_unlearned += 1
@@ -428,19 +416,13 @@ class HedgeCutClassifier:
         up front instead of leaving the ensemble half-mutated.
 
         When the packed inference kernel has been built (``self.packed``),
-        the batch is applied through the packed write path and is
-        **atomic**: an inconsistent record anywhere in the batch raises
-        with no mutation at all. Batches of at least
-        :attr:`small_batch_threshold` records go through the vectorised
-        level-synchronous kernel of :mod:`repro.core.unlearn_batch` -- one
-        routing pass, scatter-added statistic deltas, one write-back, at
-        most one repack per switched tree; smaller batches loop the scalar
-        fast path of :mod:`repro.core.unlearn_fast`, whose constant
-        factors win below the kernel's measured crossover. Without a pack
-        the records are applied by the scalar object loop (each record
-        individually atomic, earlier records stay applied if a later one
-        fails). All paths produce identical end states and identically
-        merged reports for batches that succeed.
+        the batch is one call of the native write kernel
+        (:mod:`repro.core.writes`) and is **atomic**: an inconsistent
+        record anywhere in the batch raises with no mutation at all.
+        Without a pack the records are applied by the scalar object loop
+        (each record individually atomic, earlier records stay applied if
+        a later one fails). Both paths produce identical end states and
+        identically merged reports for batches that succeed.
         """
         self._require_fitted()
         records = records if isinstance(records, list) else list(records)
@@ -469,31 +451,12 @@ class HedgeCutClassifier:
         return total
 
     def _unlearn_batch_packed(self, records: list[Record]) -> UnlearningReport:
-        """Apply one validated batch through the packed write path.
-
-        Adaptive dispatch: small batches loop the scalar fast path (same
-        whole-batch atomicity and reports), large ones take the
-        vectorised kernel.
-        """
-        packed = self.packed
-        if len(records) < self.small_batch_threshold:
-            values = np.asarray(
-                [record.values for record in records], dtype=np.int64
-            )
-            labels = np.asarray([record.label for record in records], dtype=np.int64)
-            result = unlearn_small_batch(
-                packed.unlearn_pack(), values, labels,
-                read_pack=packed,
-            )
-        else:
-            values = np.asarray(
-                [record.values for record in records], dtype=np.int64
-            )
-            labels = np.asarray([record.label for record in records], dtype=np.int64)
-            result = unlearn_batch_packed(
-                packed.unlearn_pack(), values, labels,
-                leaf_sink=packed.sync_leaf,
-            )
+        """Apply one validated batch through the native write kernel."""
+        result = unlearn_batch_packed(
+            self.packed.unlearn_pack(),
+            [record.values for record in records],
+            [record.label for record in records],
+        )
         self._apply_switches(result.switched_nodes)
         self._n_unlearned += len(records)
         return result.report
@@ -513,11 +476,10 @@ class HedgeCutClassifier:
         invalidate robustness certificates, so models under sustained
         insertion load should still be retrained periodically.
 
-        When the packed kernel has been built, insertions get the same
-        O(1) write-through deletions have: leaf increments land directly
-        in the read pack's arrays and a repack happens only when a
-        variant actually switches -- the old behaviour of marking the
-        whole pack stale (full re-gather on the next predict) is gone.
+        When the packed kernel has been built, an insertion is the native
+        write kernel's walk with +1 updates, exactly like a deletion: leaf
+        increments land in the read pack's arrays, and a span is spliced
+        only when a variant actually switches.
 
         Returns:
             an :class:`UnlearningReport` aggregated over all trees, the
@@ -526,12 +488,8 @@ class HedgeCutClassifier:
         """
         self._require_fitted()
         if self._packed is not None:
-            packed = self.packed
             result = learn_one_packed(
-                packed.unlearn_pack(),
-                record.values,
-                record.label,
-                read_pack=packed,
+                self._packed.unlearn_pack(), record.values, record.label
             )
             self._apply_switches(result.switched_nodes)
             return result.report
@@ -559,13 +517,18 @@ class HedgeCutClassifier:
         """Refresh the packed form of one tree after an out-of-band
         structural edit (e.g. a manually forced variant switch).
 
-        Re-splices the tree's switched spans, if the pack has been built.
+        Splices every maintenance node of the tree whose packed variant
+        differs from its live one, outer nodes before the nodes nested in
+        them, if the pack has been built.
         """
         self._require_fitted()
         if not 0 <= index < len(self._trees):
             raise IndexError(f"tree index {index} out of range")
-        if self._packed is not None:
-            self._packed.repack_tree(index)
+        self._apply_switches(
+            node
+            for node in iter_nodes(self._trees[index].root)
+            if isinstance(node, MaintenanceNode)
+        )
 
     @classmethod
     def from_state(
@@ -633,7 +596,7 @@ class HedgeCutClassifier:
         )
 
 
-def _learn_one_in_tree(root, record: Record, leaf_sink=None) -> UnlearningReport:
+def _learn_one_in_tree(root, record: Record) -> UnlearningReport:
     """Insertion traversal over one tree's object graph.
 
     Returns the tree's :class:`UnlearningReport` with the same visit
@@ -649,8 +612,6 @@ def _learn_one_in_tree(root, record: Record, leaf_sink=None) -> UnlearningReport
             node.n += 1
             if record.label == 1:
                 node.n_plus += 1
-            if leaf_sink is not None:
-                leaf_sink(node)
             report.leaves_updated += 1
         elif isinstance(node, SplitNode):
             goes_left = node.split.goes_left_value(record.values[node.split.feature])
@@ -683,7 +644,6 @@ def _insert_into_stats(stats, record: Record, goes_left: bool) -> None:
         stats.n_left += 1
         if record.label == 1:
             stats.n_left_plus += 1
-    stats.invalidate_caches()
 
 
 #: Per-worker training state installed by :func:`_pool_initializer`.

@@ -16,6 +16,8 @@ HedgeCut trees consist of three node kinds (Section 4.1):
 
 from __future__ import annotations
 
+import contextlib
+import gc
 from dataclasses import dataclass, field
 from typing import Iterator, Union
 
@@ -29,12 +31,14 @@ class Leaf:
     Predicts the majority class: positive when strictly more than half of
     the remaining records are positive.
 
-    ``__slots__`` keeps the two counts out of a per-instance dict: the
-    scalar unlearning fast path decrements every leaf on a record's paths,
-    and deep ensembles hold hundreds of thousands of these.
+    ``__slots__`` keeps the two counts out of a per-instance dict: deep
+    ensembles hold hundreds of thousands of these. Like
+    :class:`~repro.core.splits.SplitStats`, a leaf is bound to the write
+    pack's count store once the pack exists (``_at`` is its store offset,
+    see :mod:`repro.core.writes`).
     """
 
-    __slots__ = ("n", "n_plus")
+    __slots__ = ("n", "n_plus", "_at")
 
     n: int
     n_plus: int
@@ -110,7 +114,9 @@ class MaintenanceNode:
 
     The *active* variant is the one with the highest current Gini gain; ties
     are broken towards the lowest variant index so that re-scoring is
-    deterministic.
+    deterministic. Once the model's write pack exists, ``active_index``
+    (like each variant's ``gain``) lives in the pack's store
+    (:mod:`repro.core.writes`).
     """
 
     variants: list[SubtreeVariant]
@@ -146,6 +152,26 @@ class MaintenanceNode:
 
 
 TreeNode = Union[Leaf, SplitNode, MaintenanceNode]
+
+
+@contextlib.contextmanager
+def bulk_allocation() -> Iterator[None]:
+    """Pause the cyclic garbage collector while a node graph is built.
+
+    Decoding a snapshot or packing an ensemble allocates hundreds of
+    thousands of objects. Left on, the collector runs over and over during
+    the burst, with a full collection (a scan of every live object of the
+    process) each time the heap grows by a quarter, and finds nothing to
+    free: the node graphs are acyclic. Reference counting still frees
+    everything.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def iter_nodes(root: TreeNode) -> Iterator[TreeNode]:

@@ -29,9 +29,10 @@ reference the kernel must match bit for bit.
 
 Crucially the pack stays valid **under unlearning**:
 
-* leaf decrements write through to the flat leaf arrays in O(1) via
-  :meth:`PackedEnsemble.sync_leaf` (the ensemble passes it as the
-  ``leaf_sink`` of the unlearning traversal), and
+* the native write kernel (:mod:`repro.core.writes`) updates an active
+  leaf's row in the flat leaf arrays whenever it updates the leaf's
+  counts (the object walk does the same through :meth:`PackedEnsemble.
+  sync_leaf`), and
 * a maintenance-node variant switch is an **in-place subtree splice**
   (:meth:`PackedEnsemble.splice_subtree`): at pack time every maintenance
   node reserves contiguous slot/route/leaf spans sized to the *largest*
@@ -77,7 +78,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.nodes import Leaf, MaintenanceNode, SplitNode, TreeNode
+from repro.core.nodes import Leaf, MaintenanceNode, SplitNode, TreeNode, bulk_allocation
 from repro.core.splits import CategoricalSplit, NumericSplit
 from repro.core.tree import HedgeCutTree
 from repro.dataprep.dataset import Dataset, FeatureSchema
@@ -94,15 +95,44 @@ LEAF_MARKER = -1
 _EPOCH_COUNTER = itertools.count()
 
 
-def _route_row(split: NumericSplit | CategoricalSplit, width: int) -> np.ndarray:
-    """Goes-left membership row of one split, padded to the table width."""
-    row = np.zeros(width, dtype=bool)
-    if isinstance(split, NumericSplit):
-        row[: split.cut] = True
-    else:
-        table = split.membership_table()
-        row[: table.shape[0]] = table
-    return row
+#: Categorical masks below this bound expand by int64 shifts; wider ones
+#: (cardinality above 62) through the split's own membership table.
+_SHIFT_LIMIT = 1 << 62
+
+
+def route_table(splits: Sequence[NumericSplit | CategoricalSplit], width: int) -> np.ndarray:
+    """Goes-left membership rows of many splits, ``(len(splits), width)`` bool.
+
+    A numeric split's row is ``code < cut``; a categorical split's row is
+    its subset bitmask, zero beyond the feature's cardinality. Built with
+    a few whole-table numpy operations instead of one array per split.
+    """
+    codes = np.arange(width, dtype=np.int64)
+    is_numeric = np.fromiter(
+        (type(split) is NumericSplit for split in splits), dtype=bool, count=len(splits)
+    )
+    keys = np.fromiter(
+        (
+            split.cut if type(split) is NumericSplit
+            else split.subset_mask if split.subset_mask < _SHIFT_LIMIT else 0
+            for split in splits
+        ),
+        dtype=np.int64,
+        count=len(splits),
+    )
+    # A mask below 2**62 has no bit at 62 or above, so capping the shift
+    # there reads a zero for every wider code.
+    table = np.where(
+        is_numeric[:, None],
+        codes < keys[:, None],
+        (keys[:, None] >> np.minimum(codes, 62)) & 1 == 1,
+    )
+    for row, split in enumerate(splits):
+        if type(split) is not NumericSplit and split.subset_mask >= _SHIFT_LIMIT:
+            member = split.membership_table()[:width]
+            table[row] = False
+            table[row, : member.shape[0]] = member
+    return table
 
 
 def _int64_buffer(name: str, array: np.ndarray):
@@ -301,59 +331,64 @@ def predict_proba_rows(arrays: PackedArrays, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _compute_footprints(roots: Sequence[TreeNode]) -> dict[int, tuple[int, int, int]]:
-    """``id(node) -> (slots, route_rows, leaf_rows)`` reserved footprints.
+def _compute_footprints(
+    roots: Sequence[TreeNode],
+) -> tuple[list[tuple[int, int, int]], dict[int, tuple[int, int, int]]]:
+    """Reserved ``(slots, route_rows, leaf_rows)`` footprints.
 
-    For leaves and plain splits the footprint is the exact emitted size.
-    For a maintenance node it is the *reservation*: one root slot plus the
-    per-dimension maximum over its variants' children, so that any variant
-    (and any future switch) fits inside the same region. The maxima are
-    taken independently per dimension -- the variant with the most slots
-    need not be the one with the most route rows.
+    Returns the footprint of every tree and, by object identity, of every
+    maintenance node. For leaves and plain splits the footprint is the
+    exact emitted size. For a maintenance node it is the *reservation*:
+    one root slot plus the per-dimension maximum over its variants'
+    children, so that any variant (and any future switch) fits inside the
+    same region. The maxima are taken independently per dimension -- the
+    variant with the most slots need not be the one with the most route
+    rows. The reservations stay valid for the model's lifetime because
+    the variant graph is static after fit.
 
-    Iterative post-order (fully grown trees exceed the recursion limit);
-    the result is memoised by object identity and stays valid for the
-    model's lifetime because the variant graph is static after fit.
+    One iterative post-order pass per tree (fully grown trees exceed the
+    recursion limit): a ``(node,)`` frame follows a node's children on the
+    stack and combines their footprints from the value stack.
     """
-    foot: dict[int, tuple[int, int, int]] = {}
-    stack: list[TreeNode] = list(roots)
-    while stack:
-        node = stack[-1]
-        node_id = id(node)
-        if node_id in foot:
-            stack.pop()
-            continue
-        if isinstance(node, Leaf):
-            foot[node_id] = (1, 0, 1)
-            stack.pop()
-            continue
-        if isinstance(node, SplitNode):
-            children = (node.left, node.right)
-        else:
-            children = tuple(
-                child
-                for variant in node.variants
-                for child in (variant.left, variant.right)
-            )
-        missing = [child for child in children if id(child) not in foot]
-        if missing:
-            stack.extend(missing)
-            continue
-        stack.pop()
-        if isinstance(node, SplitNode):
-            s_l, r_l, l_l = foot[id(node.left)]
-            s_r, r_r, l_r = foot[id(node.right)]
-            foot[node_id] = (1 + s_l + s_r, 1 + r_l + r_r, l_l + l_r)
-        else:
-            slots = routes = leaves = 0
-            for variant in node.variants:
-                s_l, r_l, l_l = foot[id(variant.left)]
-                s_r, r_r, l_r = foot[id(variant.right)]
-                slots = max(slots, s_l + s_r)
-                routes = max(routes, r_l + r_r)
-                leaves = max(leaves, l_l + l_r)
-            foot[node_id] = (1 + slots, 1 + routes, leaves)
-    return foot
+    leaf = (1, 0, 1)
+    spans: dict[int, tuple[int, int, int]] = {}
+    totals: list[tuple[int, int, int]] = []
+    for root in roots:
+        stack: list = [root]
+        values: list[tuple[int, int, int]] = []
+        while stack:
+            item = stack.pop()
+            if type(item) is tuple:
+                node = item[0]
+                if isinstance(node, SplitNode):
+                    s_r, r_r, l_r = values.pop()
+                    s_l, r_l, l_l = values.pop()
+                    values.append((1 + s_l + s_r, 1 + r_l + r_r, l_l + l_r))
+                    continue
+                children = values[-2 * len(node.variants):]
+                del values[-2 * len(node.variants):]
+                slots = routes = leaves = 0
+                for index in range(0, len(children), 2):
+                    s_l, r_l, l_l = children[index]
+                    s_r, r_r, l_r = children[index + 1]
+                    slots = max(slots, s_l + s_r)
+                    routes = max(routes, r_l + r_r)
+                    leaves = max(leaves, l_l + l_r)
+                spans[id(node)] = (1 + slots, 1 + routes, leaves)
+                values.append(spans[id(node)])
+            elif isinstance(item, Leaf):
+                values.append(leaf)
+            elif isinstance(item, SplitNode):
+                stack.append((item,))
+                stack.append(item.right)
+                stack.append(item.left)
+            else:
+                stack.append((item,))
+                for variant in item.variants:
+                    stack.append(variant.right)
+                    stack.append(variant.left)
+        totals.append(values[0])
+    return totals, spans
 
 
 class _Arena:
@@ -473,7 +508,8 @@ class PackedEnsemble:
         self._roots = [tree.root for tree in trees]
         self._width = max(feature.n_values for feature in schema)
         self._unlearn_pack = None
-        self._build()
+        with bulk_allocation():
+            self._build()
 
     # ------------------------------------------------------------------ #
     # reserved-span build and in-place maintenance
@@ -487,42 +523,49 @@ class PackedEnsemble:
         size: variant switches rewrite reserved spans in place via
         :meth:`splice_subtree`.
         """
-        self._foot = _compute_footprints(self._roots)
-        totals = [self._foot[id(root)] for root in self._roots]
+        totals, self._foot = _compute_footprints(self._roots)
         n_slots = sum(t[0] for t in totals)
         n_routes = sum(t[1] for t in totals)
         n_leaves = sum(t[2] for t in totals)
-        self.feature = np.full(n_slots, LEAF_MARKER, dtype=np.int64)
-        self.payload = np.zeros(n_slots, dtype=np.int64)
-        self.right = np.zeros(n_slots, dtype=np.int64)
-        self.route_flat = np.zeros(n_routes * self._width, dtype=bool)
-        self.leaf_n = np.zeros(n_leaves, dtype=np.int64)
-        self.leaf_n_plus = np.zeros(n_leaves, dtype=np.int64)
         self._leaf_objects: list[Leaf | None] = [None] * n_leaves
         self._leaf_index: dict[int, int] = {}
+        self._leaf_read_row: np.ndarray | None = None
         self._spans: dict[int, _SpanInfo] = {}
         self._dirty_slot_ranges: list[tuple[int, int]] = []
         self._dirty_route_ranges: list[tuple[int, int]] = []
 
+        # Emission writes Python lists (cheaper per element than numpy
+        # scalar stores); the arrays are made once, then padded.
+        columns = (
+            [LEAF_MARKER] * n_slots, [0] * n_slots, [0] * n_slots,
+            [0] * n_leaves, [0] * n_leaves,
+        )
+        routes: list[tuple[int, object]] = []
+        arenas: list[_Arena] = []
         roots: list[int] = []
         slot_base = route_base = leaf_base = 0
-        for tree, (root, (slots, routes, leaves)) in enumerate(
+        for tree, (root, (slots, routes_n, leaves)) in enumerate(
             zip(self._roots, totals)
         ):
             arena = _Arena(
                 slot_base + 1, slot_base + slots,
-                route_base, route_base + routes,
+                route_base, route_base + routes_n,
                 leaf_base, leaf_base + leaves,
                 owner=None,
             )
-            arenas: list[_Arena] = [arena]
-            self._emit_into([(root, slot_base, arena)], tree, arenas)
-            for sub in arenas:
-                self._pad_arena(sub)
+            arenas.append(arena)
+            self._emit_into([(root, slot_base, arena)], tree, arenas, columns, routes)
             roots.append(slot_base)
             slot_base += slots
-            route_base += routes
+            route_base += routes_n
             leaf_base += leaves
+        self.feature, self.payload, self.right, self.leaf_n, self.leaf_n_plus = (
+            np.asarray(column, dtype=np.int64) for column in columns
+        )
+        self.route_flat = np.zeros(n_routes * self._width, dtype=bool)
+        self._write_routes(routes)
+        for arena in arenas:
+            self._pad_arena(arena)
         self.tree_roots = np.asarray(roots, dtype=np.int64)
         # Structural epoch: changes only when geometry actually changes
         # (this method runs). The shared-memory writer compares epochs to
@@ -546,6 +589,8 @@ class PackedEnsemble:
         stack: list[tuple[TreeNode, int, _Arena]],
         tree: int,
         arenas_out: list[_Arena],
+        columns,
+        routes: list[tuple[int, object]],
     ) -> None:
         """Emit subtrees iteratively, carving reserved sub-arenas.
 
@@ -556,12 +601,16 @@ class PackedEnsemble:
         span, and continues emission of the *active* variant inside the
         sub-arena. Every arena this creates is appended to ``arenas_out``
         so the caller can pad the unused tails afterwards.
+
+        ``columns`` are the ``feature, payload, right, leaf_n, leaf_n_plus``
+        targets (lists during a build, the live arrays during a splice);
+        ``(route row, split)`` pairs go to ``routes`` for
+        :meth:`_write_routes`.
         """
         width = self._width
-        feature, payload, right = self.feature, self.payload, self.right
-        route_flat = self.route_flat
-        leaf_n, leaf_n_plus = self.leaf_n, self.leaf_n_plus
+        feature, payload, right, leaf_n, leaf_n_plus = columns
         leaf_objects, leaf_index = self._leaf_objects, self._leaf_index
+        read_rows = self._leaf_read_row
         while stack:
             node, slot, arena = stack.pop()
             if isinstance(node, Leaf):
@@ -577,13 +626,15 @@ class PackedEnsemble:
                 leaf_n_plus[row] = node.n_plus
                 leaf_objects[row] = node
                 leaf_index[id(node)] = row
+                if read_rows is not None:
+                    read_rows[node._at >> 1] = row
                 continue
             if isinstance(node, MaintenanceNode):
-                slots, routes, leaves = self._foot[id(node)]
+                n_slots, n_routes, n_leaves = self._foot[id(node)]
                 sub = _Arena(
-                    arena.slot_cur, arena.slot_cur + slots - 1,
-                    arena.route_cur, arena.route_cur + routes,
-                    arena.leaf_cur, arena.leaf_cur + leaves,
+                    arena.slot_cur, arena.slot_cur + n_slots - 1,
+                    arena.route_cur, arena.route_cur + n_routes,
+                    arena.leaf_cur, arena.leaf_cur + n_leaves,
                     owner=None,
                 )
                 arena.slot_cur = sub.slot_hi
@@ -611,14 +662,20 @@ class PackedEnsemble:
             arena.route_cur += 1
             feature[slot] = split.feature
             payload[slot] = route_row * width
-            route_flat[route_row * width:(route_row + 1) * width] = _route_row(
-                split, width
-            )
+            routes.append((route_row, split))
             pair = arena.slot_cur
             arena.slot_cur += 2
             right[slot] = pair + 1
             stack.append((child_right, pair + 1, arena))
             stack.append((child_left, pair, arena))
+
+    def _write_routes(self, routes: list[tuple[int, object]]) -> None:
+        """Write the goes-left rows of emitted splits into the route table."""
+        if routes:
+            rows, splits = zip(*routes)
+            self.route_flat.reshape(-1, self._width)[list(rows)] = route_table(
+                splits, self._width
+            )
 
     def _pad_arena(self, arena: _Arena) -> None:
         """Fill an arena's unused tail with safe, in-range content.
@@ -663,11 +720,14 @@ class PackedEnsemble:
     def _splice(self, info: _SpanInfo) -> None:
         """Re-emit the live active variant into an existing reserved span."""
         self._unregister_children(info)
+        read_rows = self._leaf_read_row
         for row in range(info.leaf_lo, info.leaf_hi):
             leaf = self._leaf_objects[row]
             if leaf is not None:
                 self._leaf_index.pop(id(leaf), None)
                 self._leaf_objects[row] = None
+                if read_rows is not None:
+                    read_rows[leaf._at >> 1] = -1
         node = info.node
         width = self._width
         arena = _Arena(
@@ -684,9 +744,7 @@ class PackedEnsemble:
         arena.route_cur += 1
         self.feature[info.root_slot] = split.feature
         self.payload[info.root_slot] = route_row * width
-        self.route_flat[route_row * width:(route_row + 1) * width] = _route_row(
-            split, width
-        )
+        routes: list[tuple[int, object]] = [(route_row, split)]
         pair = arena.slot_cur
         arena.slot_cur += 2
         self.right[info.root_slot] = pair + 1
@@ -694,7 +752,10 @@ class PackedEnsemble:
             [(active.right, pair + 1, arena), (active.left, pair, arena)],
             info.tree,
             arenas,
+            (self.feature, self.payload, self.right, self.leaf_n, self.leaf_n_plus),
+            routes,
         )
+        self._write_routes(routes)
         for sub in arenas:
             self._pad_arena(sub)
         info.emitted_index = node.active_index
@@ -760,33 +821,6 @@ class PackedEnsemble:
         self._dirty_route_ranges = []
         return slot_ranges, route_ranges
 
-    def repack_tree(self, index: int) -> None:
-        """Splice every stale maintenance span of one tree.
-
-        Compatibility surface of the pre-span whole-tree re-emit: callers
-        that only know "something in tree ``index`` switched" (manual
-        ``active_index`` pokes, the object-path unlearner) get every span
-        whose emitted variant drifted from the live one re-spliced. Outer
-        spans are spliced before inner ones (ascending root slot) so a
-        nested stale node that survives inside the new outer variant is
-        materialised correctly before its own check runs.
-        """
-        if not 0 <= index < len(self._roots):
-            raise IndexError(f"tree index {index} out of range")
-        stale = [
-            info
-            for info in self._spans.values()
-            if info.tree == index
-            and info.emitted_index != info.node.active_index
-        ]
-        stale.sort(key=lambda info: info.root_slot)
-        for info in stale:
-            if (
-                self._spans.get(id(info.node)) is info
-                and info.emitted_index != info.node.active_index
-            ):
-                self._splice(info)
-
     def arrays(self) -> PackedArrays:
         """The flat arrays and their kernel handle, built once per build.
 
@@ -806,9 +840,7 @@ class PackedEnsemble:
         """``id(leaf) -> leaf row`` for the currently packed (active) leaves.
 
         Maintained incrementally across splices (only the affected span's
-        entries change); the scalar unlearning fast path uses it to sync a
-        record's mutated leaves in one post-walk loop instead of per-leaf
-        :meth:`sync_leaf` calls inside the traversal.
+        entries change); :meth:`sync_leaf` looks leaves up in it.
         """
         return self._leaf_index
 
@@ -837,34 +869,31 @@ class PackedEnsemble:
             self.leaf_n_plus[index] = leaf.n_plus
 
     # ------------------------------------------------------------------ #
-    # batch-unlearning companion pack
+    # the write pack
     # ------------------------------------------------------------------ #
 
     def unlearn_pack(self):
-        """The lazily built write-path pack (see :mod:`repro.core.unlearn_batch`).
+        """The write pack (:mod:`repro.core.writes`), built on first use.
 
-        Built on first use from the same roots/width as the read-path
-        arrays; refreshed (one gather pass over the live objects) when
-        scalar mutations marked its count mirrors stale.
+        Building it binds the trees' objects to its count store and
+        connects it to this pack's leaf rows: from then on the native
+        write kernel updates both, and every splice keeps the kernel's
+        store-leaf-to-read-row map current.
         """
         if self._unlearn_pack is None:
-            from repro.core.unlearn_batch import UnlearnPack
+            from repro.core.writes import UnlearnPack
 
-            self._unlearn_pack = UnlearnPack(self._roots, self._width)
-        else:
-            self._unlearn_pack.ensure_fresh()
+            with bulk_allocation():
+                pack = UnlearnPack.build(
+                    self._roots, self._width, self.leaf_n, self.leaf_n_plus
+                )
+            rows = pack.leaf_read_row
+            for row, leaf in enumerate(self._leaf_objects):
+                if leaf is not None:
+                    rows[leaf._at >> 1] = row
+            self._leaf_read_row = rows
+            self._unlearn_pack = pack
         return self._unlearn_pack
-
-    def mark_stats_stale(self) -> None:
-        """Flag the unlearn pack's count mirrors after a scalar mutation.
-
-        Scalar unlearning and incremental learning mutate leaf and split
-        statistics object-by-object; instead of write-through (which would
-        tax the scalar hot path), the next batch refreshes the mirrors in
-        one pass. Structure never goes stale, so the pack is kept.
-        """
-        if self._unlearn_pack is not None:
-            self._unlearn_pack.mark_stale()
 
     # ------------------------------------------------------------------ #
     # deep copy / pickling: the id()-keyed leaf index and span registry
@@ -879,7 +908,8 @@ class PackedEnsemble:
         self._roots = state["roots"]
         self._width = state["width"]
         self._unlearn_pack = None
-        self._build()
+        with bulk_allocation():
+            self._build()
 
     # ------------------------------------------------------------------ #
     # prediction over raw code matrices

@@ -90,12 +90,16 @@ class SplitStats:
     creates and mutates millions of these objects; measured, it slows
     recursive tree growth ~2.5x.)
 
-    ``__slots__`` (counts plus the cache fields) shaves a dict lookup off
-    every attribute access, which the scalar unlearning fast path performs
-    roughly a thousand times per deleted record. Instances restored from
-    pre-``__slots__`` pickles (plain ``__dict__`` state) keep loading
+    ``__slots__`` (counts plus the cache fields) keeps the millions of
+    instances the robustness analysis creates small. Instances restored
+    from pre-``__slots__`` pickles (plain ``__dict__`` state) keep loading
     through :meth:`__setstate__`, which also fills in missing cache
     attributes.
+
+    Once a model's write pack is built, its statistics are *bound* to the
+    pack's count store (:mod:`repro.core.writes`): the counts become
+    properties over the store row at ``_at``, which the native write
+    kernel updates in place. Unbound instances never set ``_at``.
     """
 
     __slots__ = (
@@ -106,6 +110,7 @@ class SplitStats:
         "_gain_key",
         "_gain_cache",
         "_quadrants_cache",
+        "_at",
     )
 
     n: int

@@ -165,7 +165,6 @@ def apply_unlearn(plan: UnlearnPlan, leaf_sink: LeafSink | None = None) -> Unlea
             stats.n_left -= 1
             if positive:
                 stats.n_left_plus -= 1
-        stats.invalidate_caches()
     for node in plan.rescores:
         if node.rescore():
             report.variant_switches += 1

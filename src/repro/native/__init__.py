@@ -1,18 +1,18 @@
-"""The compiled C kernels: packed-ensemble traversal and the routing hash.
+"""The compiled C kernels: traversal, the write kernel and the routing hash.
 
-``kernel.c`` is compiled with cffi (API mode) and the system C compiler
-(gcc) on the first import in a fresh checkout, and cached next to the
-source in ``_build/`` (see :mod:`repro.native.build` for the cache key
-and the atomic install). A cache miss runs the build in a child process;
-a cache hit loads the extension directly, without cffi's build machinery
-or setuptools.
+``kernel.c`` and ``write.c`` are compiled as one unit with cffi (API
+mode) and the system C compiler (gcc) on the first import in a fresh
+checkout, and cached next to the sources in ``_build/`` (see
+:mod:`repro.native.build` for the cache key and the atomic install). A
+cache miss runs the build in a child process; a cache hit loads the
+extension directly, without cffi's build machinery or setuptools.
 
 There is no pure-Python fallback: if cffi or the compiler is missing,
 importing this package raises :class:`ImportError` saying so.
 
 Exports ``ffi`` and ``lib``; the traversal wrappers live in
-:mod:`repro.core.packed`, the routing hash in
-:mod:`repro.sharding.partitioner`.
+:mod:`repro.core.packed`, the write kernel's in :mod:`repro.core.writes`,
+the routing hash in :mod:`repro.sharding.partitioner`.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ setuptools. ``make native`` runs it directly with ``--werror``::
 
     python src/repro/native/build.py --werror
 
-The cache key is a hash of the C source, the cdef, the compiler flags,
+The cache key is a hash of the C sources, the cdef, the compiler flags,
 the cffi backend version and the Python ABI tag. A build compiles into a
 private temporary directory inside the cache and moves the finished
 extension into place with ``os.replace``, so processes that build
@@ -25,7 +25,9 @@ import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
-SOURCE = HERE / "kernel.c"
+#: Compiled as one unit, in this order: ``write.c`` uses the status codes
+#: and markers ``kernel.c`` defines.
+SOURCES = (HERE / "kernel.c", HERE / "write.c")
 CACHE = HERE / "_build"
 
 #: Declarations cffi exposes to Python. API mode compiles its wrappers
@@ -57,6 +59,47 @@ int hc_proba(const hc_pack *p, const int64_t *values, int64_t n_rows,
 int hc_shards(const int64_t *values, const int64_t *labels, int64_t n_rows,
               int64_t n_features, uint64_t salt, uint64_t n_shards,
               int64_t *out);
+#define HC_REJECT_LEAF ...
+#define HC_REJECT_SPLIT ...
+#define HC_REJECT_VARIANT ...
+typedef struct {
+    const int64_t *feature;
+    const int64_t *payload;
+    const int64_t *right;
+    const int64_t *stats_row;
+    int64_t n_slots;
+    const uint8_t *route;
+    int64_t route_len;
+    int64_t width;
+    const int64_t *roots;
+    int64_t n_trees;
+    const int64_t *fan_ptr;
+    const int64_t *fan_slots;
+    int64_t n_fan;
+    int64_t n_mnodes;
+    int64_t *stats;
+    int64_t n_stats;
+    int64_t *leaves;
+    int64_t n_leaves;
+    double *gains;
+    int64_t *active;
+    const int64_t *leaf_read_row;
+    int64_t *read_n;
+    int64_t *read_n_plus;
+    int64_t n_read;
+    int64_t *log;
+    int64_t *mlog;
+    int64_t *stack;
+    int64_t scratch_len;
+    int64_t *seen;
+    int64_t *touched;
+    int64_t *saved_active;
+    double *saved_gains;
+    int64_t epoch;
+} hc_store;
+int hc_write(hc_store *s, const int64_t *values, const int64_t *labels,
+             int64_t n_records, int64_t n_features, int64_t sign,
+             int64_t *report, int64_t *switched);
 """
 
 #: Bit-identity with the numpy formulation needs IEEE double arithmetic
@@ -70,7 +113,7 @@ def module_name() -> str:
 
     key = hashlib.sha256()
     for part in (
-        SOURCE.read_bytes(),
+        *(source.read_bytes() for source in SOURCES),
         CDEF.encode(),
         " ".join(COMPILE_ARGS).encode(),
         _cffi_backend.__version__.encode(),
@@ -102,7 +145,7 @@ def build(werror: bool = False) -> Path:
     builder.cdef(CDEF)
     builder.set_source(
         name,
-        SOURCE.read_text(),
+        "\n".join(source.read_text() for source in SOURCES),
         extra_compile_args=[*COMPILE_ARGS, *(["-Werror"] if werror else [])],
     )
     CACHE.mkdir(parents=True, exist_ok=True)

@@ -176,17 +176,18 @@ class ModelStore:
         applied_seq = info.wal_seq
         n_replayed = 0
         n_failures = 0
-        for frame in self.wal.frames(after_seq=info.wal_seq):
+        for index, frame in enumerate(self.wal.frames(after_seq=info.wal_seq)):
+            if index == 0:
+                # Build both packs once, before the first frame: every
+                # replayed write then takes the native write kernel the
+                # live path used, and a group-committed batch replays with
+                # the same whole-batch atomicity, so a batch that failed
+                # live fails identically here with no partial mutation.
+                model.packed.unlearn_pack()
             if isinstance(frame, BatchDeletionRecord):
                 members = [
                     member for member in frame.records if member.seq > info.wal_seq
                 ]
-                # Group-committed frames replay through the same
-                # whole-batch-atomic kernel the live path used; building
-                # the pack first guarantees the batched (not the scalar
-                # fallback) semantics, so a batch that failed live fails
-                # identically here with no partial mutation.
-                _ = model.packed
                 try:
                     model.unlearn_batch(
                         [member.to_record() for member in members],

@@ -183,7 +183,7 @@ class AuditedUnlearner:
         CRC frame with one flush/fsync before the model is touched;
         ``record_request_ids`` (optional, one per record) are stored inside
         the frame so per-record provenance survives in the durable log.
-        The model-side apply goes through the batch kernel
+        The model-side apply is one native write-kernel call
         (:meth:`HedgeCutClassifier.unlearn_batch` on the packed model), so
         the batch is all-or-nothing -- matching its all-or-nothing
         crash-durability -- and the audit entry records the aggregate

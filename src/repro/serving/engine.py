@@ -116,8 +116,8 @@ class ReplicatedServingEngine:
         if model.is_fitted:
             # Warm the packed read kernel and the write-side unlearn pack
             # before the replicas are copied: every replica then starts
-            # pack-resident, so single deletions take the scalar fast path
-            # of :mod:`repro.core.unlearn_fast` from the first request
+            # pack-resident, so every write takes the native write kernel
+            # of :mod:`repro.core.writes` from the first request
             # instead of paying a pack build (or the object walk) on the
             # serving hot path.
             model.packed.unlearn_pack()

@@ -286,7 +286,8 @@ class SharedPackedEnsemble:
             the machine. Stale segments under the same name (a crashed
             predecessor) are reclaimed.
         packed: the in-process pack to mirror. The writer keeps applying
-            deletions to it (write-through + repack as today) and calls
+            deletions to it (the write kernel updates its leaf rows, a
+            variant switch splices a span) and calls
             :meth:`publish` to make the result visible to the fleet.
         wal_seq: WAL offset already reflected in ``packed``.
     """
@@ -842,8 +843,8 @@ class ShmReplicatedServingEngine:
         self.store = store
         self.consistency = consistency
         self.shard_id = shard_id
-        # Warm both packs before the first publish: every deletion then
-        # takes the scalar fast path, and the pack we mirror is final.
+        # Warm both packs before the first publish: every write then
+        # takes the native write kernel, and the pack we mirror is final.
         model.packed.unlearn_pack()
         self._model = model
         self.segment_name = segment_name or (

@@ -280,7 +280,7 @@ class ShardedHedgeCut:
     ) -> UnlearningReport:
         """Split a deletion batch by owning shard and apply per shard.
 
-        Each shard's sub-batch goes through that shard's vectorised batch
+        Each shard's sub-batch is one call of that shard's native write
         kernel (whole-sub-batch atomic); shards apply in ascending shard id
         with submission order preserved within a shard. Atomicity is
         therefore *per shard*: a failing sub-batch leaves its own shard

@@ -7,7 +7,7 @@ storms, heavy-tailed per-user deletion sizes) against a fitted
 * predictions accumulate into micro-batches dispatched through the
   aggregated packed path (one call per shard per batch);
 * each deletion event (one user's records) splits by owning shard and
-  each shard's sub-batch runs through that shard's vectorised batch
+  each shard's sub-batch runs through that shard's native write
   kernel, **timed per shard** -- the report exposes per-shard deletion
   latency percentiles and how evenly the deletion traffic spread over the
   shards (the shard-imbalance question SISA deployments care about).

@@ -71,11 +71,11 @@ def test_bit_identical_to_reference_through_the_lifecycle(name):
     arrays = model.packed.arrays()
     assert_kernel_matches_reference(arrays, matrix)
 
-    # Scalar deletions, then one batch large enough for the vectorised
-    # kernel: leaf write-through plus any variant switches they cause.
+    # Single deletions, then one 32-record batch: leaf write-through plus
+    # any variant switches they cause.
     for row in range(8):
         model.unlearn(train.record(row))
-    batch = [train.record(row) for row in range(8, 8 + model.small_batch_threshold)]
+    batch = [train.record(row) for row in range(8, 40)]
     model.unlearn_batch(batch)
     assert_kernel_matches_reference(arrays, matrix)
 

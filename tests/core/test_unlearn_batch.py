@@ -1,6 +1,6 @@
-"""Property tests: the batch-unlearning kernel vs the scalar loop.
+"""Property tests: batch unlearning vs the record-by-record loop.
 
-The vectorised kernel (:mod:`repro.core.unlearn_batch`) must be
+A batch through the native write kernel (:mod:`repro.core.writes`) must be
 *verdict-identical* to unlearning the same records one by one: same
 aggregated :class:`UnlearningReport`, same variant switches in the same
 trees, bit-identical ``predict_proba`` afterwards -- through interleaved
@@ -119,15 +119,14 @@ class TestKernelEquivalence:
         )
 
     def test_kernel_path_after_scalar_interleaving(self, fitted_model, income_split):
-        # Scalar unlearns/learn_one mark the pack's count mirrors stale;
-        # the next batch must refresh them instead of applying deltas to
-        # outdated counts.
+        # Single unlearns and learn_one between batches update the same
+        # count store the next batch reads; it must see their updates.
         train, test = income_split
         reference = copy.deepcopy(fitted_model)
         subject = copy.deepcopy(fitted_model)
         _ = subject.predict_proba_batch(test)
         subject.unlearn_batch([train.record(0), train.record(1)])
-        # scalar paths: both mark the pack's count mirrors stale
+        # single-record writes between the batches
         subject.unlearn(train.record(2), allow_budget_overrun=True)
         subject.learn_one(train.record(3))
         subject.unlearn_batch(

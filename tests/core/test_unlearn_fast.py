@@ -1,12 +1,12 @@
-"""Property tests: the scalar fast path vs the object reference path.
+"""Property tests: the native write kernel vs the object reference path.
 
-``unlearn_one_packed`` (:mod:`repro.core.unlearn_fast`) must be
+``unlearn_one_packed`` (:mod:`repro.core.writes`) must be
 *verdict-identical* to the object-graph walk of
 :mod:`repro.core.unlearning`: same :class:`UnlearningReport` field by
 field, same variant switches in the same trees, bit-identical
 ``predict_proba`` afterwards, and the same error message on rejection --
 through interleaved unlearn/predict campaigns, across snapshot
-round-trips, and after the small-batch loop's whole-batch rollback.
+round-trips, and after a batch's whole-batch rollback.
 Insertions (``learn_one``) write through to the pack the same way, and a
 hypothesis suite drives random delete / batch-delete / insert / predict
 interleavings against the object-walk oracle.
@@ -196,15 +196,13 @@ class TestFastPathEquivalence:
         assert_fast_equivalent_campaign(restored, train, test, range(20))
 
     def test_small_batch_dispatch_matches_object_loop(self, fitted_model, income_split):
-        # Batches below ``small_batch_threshold`` route through the
-        # scalar small-batch loop; the result must equal the one-by-one
-        # object walk, report and predictions alike.
+        # A small batch through the native kernel must equal the
+        # one-by-one object walk, report and predictions alike.
         train, test = income_split
         batched = copy.deepcopy(fitted_model)
         obj = copy.deepcopy(fitted_model)
         _ = batched.packed.unlearn_pack()
         records = [train.record(row) for row in range(8)]
-        assert len(records) < batched.small_batch_threshold
         batch_report = batched.unlearn_batch(records, allow_budget_overrun=True)
         loop_report = UnlearningReport()
         for record in records:
@@ -229,7 +227,6 @@ class TestFastPathEquivalence:
         # One batch whose final repetition must be rejected after the
         # earlier ones were already applied in this very batch.
         records = [record] * (accepted + 1)
-        assert len(records) < model.small_batch_threshold
         before_counts = _split_counts(model)
         before_actives = _active_variants(model)
         before_proba = model.predict_proba_batch(test)
@@ -329,6 +326,21 @@ class TestTopdKnob:
         frozen_after = [c for c in _split_counts(survivor) if c[0]]
         assert frozen_after == frozen_before
 
+    def test_topd_shortens_the_validated_path(self, income_split):
+        # The random top layers route deletions without validating them:
+        # on the same records, topd=2 visits fewer robust splits than
+        # topd=0 and skips its random ones instead.
+        train, _ = income_split
+        records = [train.record(row) for row in range(64)]
+        reports = {}
+        for topd in (0, 2):
+            model = HedgeCutClassifier(n_trees=4, epsilon=0.05, topd=topd, seed=11)
+            model.fit(train).packed.unlearn_pack()
+            reports[topd] = model.unlearn_batch(records, allow_budget_overrun=True)
+        assert reports[0].random_nodes_visited == 0
+        assert reports[2].random_nodes_visited > 0
+        assert reports[2].robust_nodes_visited < reports[0].robust_nodes_visited
+
     def test_learn_one_never_touches_random_layers(self, income_split):
         train, _ = income_split
         model = HedgeCutClassifier(n_trees=3, epsilon=0.01, topd=2, seed=9).fit(train)
@@ -353,9 +365,9 @@ class TestTopdKnob:
         assert_fast_equivalent_campaign(restored, train, test, range(10))
 
     def test_wal_recovery_replays_to_same_state(self, income_split, tmp_path):
-        # Crash-recovery replays the WAL tail through the object path on a
-        # model without a pack; with topd layers present it must still
-        # land on the exact state the fast path produced before the crash.
+        # Crash-recovery replays the WAL tail on a freshly loaded model;
+        # with topd layers present it must still land on the exact state
+        # the live packed path produced before the crash.
         from repro.persistence.store import ModelStore
 
         train, test = income_split
@@ -389,11 +401,9 @@ class TestLearnOneWriteThrough:
     def test_insertion_is_o1_on_packed_model(self, model, random_dataset):
         """Regression: learn_one must not invalidate the unlearn pack."""
         pack_before = model.packed.unlearn_pack()
-        assert not pack_before._stale
         model.learn_one(random_dataset.record(250))
         pack_after = model.packed._unlearn_pack
         assert pack_after is pack_before  # no rebuild scheduled
-        assert not pack_after._stale  # and no mark-stale write-through
 
     def test_insertion_matches_object_walk(self, model, random_dataset):
         packed_model = model
@@ -439,13 +449,12 @@ def _oracle_proba(oracle, rows):
 
 
 class TestEquivalenceProperty:
-    """Random write interleavings: packed write paths == object-walk oracle.
+    """Random write interleavings: the native write kernel == object-walk oracle.
 
-    The packed model takes the scalar fast path for single deletions and
-    insertions, and the small-batch loop or the vectorised kernel for
-    batches (33 records crosses ``small_batch_threshold``). The oracle
-    never builds a pack: ``unlearn(path="object")``, the scalar object
-    loop for batches and the object walk for ``learn_one``.
+    The packed model takes the native kernel for single deletions,
+    insertions and batches of every size. The oracle never builds a pack:
+    ``unlearn(path="object")``, the scalar object loop for batches and
+    the object walk for ``learn_one``.
     """
 
     @given(

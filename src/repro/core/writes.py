@@ -198,6 +198,8 @@ class UnlearnPack:
 
         n_slots = min(len(feature), len(payload), len(right), len(stats_row))
         n_mnodes = min(len(fan_ptr) - 1, len(active))
+        if self.mnodes and len(self.mnodes) != n_mnodes:
+            raise ValueError("expected one maintenance node object per active index")
         n_fan = min(len(fan_slots), len(gains))
         self._scratch = [
             np.zeros(n_slots + 1, dtype=np.int64),  # log
@@ -393,7 +395,8 @@ class UnlearnPack:
             variant_switches=switches,
             random_nodes_visited=random,
         )
-        if not n_switched:
+        # A pack built from bare arrays has no node objects to splice.
+        if not n_switched or not self.mnodes:
             return BatchUnlearnResult(report=report)
         return BatchUnlearnResult(
             report=report,

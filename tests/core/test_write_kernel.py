@@ -199,6 +199,34 @@ def test_fan_cycle_is_torn_not_a_hang():
     assert pack.stats.tobytes() == before
 
 
+def test_switch_in_a_pack_without_node_objects_is_a_plain_write():
+    # An empty fan re-scores to no variant, so the write succeeds with a
+    # switch; a pack built from bare arrays has no node to report for it.
+    arrays = dict(
+        feature=np.asarray([FAN_MARKER], dtype=np.int64),
+        payload=np.asarray([0], dtype=np.int64),
+        right=np.asarray([0], dtype=np.int64),
+        stats_row=np.asarray([-1], dtype=np.int64),
+        route_flat=np.zeros(0, dtype=bool),
+        width=0,
+        tree_roots=np.asarray([0], dtype=np.int64),
+        fan_ptr=np.asarray([0, 0], dtype=np.int64),
+        fan_slots=np.zeros(0, dtype=np.int64),
+        stats=np.zeros(0, dtype=np.int64),
+        leaves=np.zeros(0, dtype=np.int64),
+        gains=np.zeros(0, dtype=np.float64),
+        active=np.asarray([0], dtype=np.int64),
+        leaf_read_row=np.zeros(0, dtype=np.int64),
+        read_leaf_n=np.zeros(0, dtype=np.int64),
+        read_leaf_n_plus=np.zeros(0, dtype=np.int64),
+    )
+    result = UnlearnPack(**arrays).write((0,), (0,), 1, 1, -1)
+    assert result.report.variant_switches == 1
+    assert result.switched_nodes == ()
+    with pytest.raises(ValueError, match="maintenance node"):
+        UnlearnPack(**arrays, mnodes=[object(), object()])
+
+
 def test_store_arrays_must_be_contiguous_and_typed():
     with pytest.raises(TypeError, match="stats"):
         UnlearnPack(

@@ -392,9 +392,15 @@ class HedgeCutClassifier:
         return result.report
 
     def _validate_unlearn_record(self, record: Record) -> None:
+        """Reject a record no tree could route, before any write.
+
+        Encoded codes are non-negative; the object walk would send a
+        negative code left at every numeric split while the native kernel
+        rejects it, so both paths refuse it here alike.
+        """
         if not isinstance(record, Record):
             raise TypeError(
-                "unlearn expects a Record (encoded values + label); use "
+                "a write expects a Record (encoded values + label); use "
                 "TabularPreprocessor.encode_record for raw serving requests"
             )
         if len(record.values) != len(self.schema):
@@ -402,6 +408,8 @@ class HedgeCutClassifier:
                 f"record has {len(record.values)} values, model expects "
                 f"{len(self.schema)}"
             )
+        if min(record.values, default=0) < 0:
+            raise UnlearningError("record has a negative code")
 
     def unlearn_batch(
         self,
@@ -487,6 +495,7 @@ class HedgeCutClassifier:
             visit tallies, ``variant_switches``).
         """
         self._require_fitted()
+        self._validate_unlearn_record(record)
         if self._packed is not None:
             result = learn_one_packed(
                 self._packed.unlearn_pack(), record.values, record.label

@@ -95,42 +95,22 @@ LEAF_MARKER = -1
 _EPOCH_COUNTER = itertools.count()
 
 
-#: Categorical masks below this bound expand by int64 shifts; wider ones
-#: (cardinality above 62) through the split's own membership table.
-_SHIFT_LIMIT = 1 << 62
-
-
 def route_table(splits: Sequence[NumericSplit | CategoricalSplit], width: int) -> np.ndarray:
     """Goes-left membership rows of many splits, ``(len(splits), width)`` bool.
 
-    A numeric split's row is ``code < cut``; a categorical split's row is
-    its subset bitmask, zero beyond the feature's cardinality. Built with
-    a few whole-table numpy operations instead of one array per split.
+    Numeric rows (``code < cut``) are one whole-table comparison; each
+    categorical row is copied from the split's cached membership table and
+    stays False beyond the feature's cardinality.
     """
-    codes = np.arange(width, dtype=np.int64)
-    is_numeric = np.fromiter(
-        (type(split) is NumericSplit for split in splits), dtype=bool, count=len(splits)
-    )
-    keys = np.fromiter(
-        (
-            split.cut if type(split) is NumericSplit
-            else split.subset_mask if split.subset_mask < _SHIFT_LIMIT else 0
-            for split in splits
-        ),
+    cuts = np.fromiter(
+        (split.cut if type(split) is NumericSplit else 0 for split in splits),
         dtype=np.int64,
         count=len(splits),
     )
-    # A mask below 2**62 has no bit at 62 or above, so capping the shift
-    # there reads a zero for every wider code.
-    table = np.where(
-        is_numeric[:, None],
-        codes < keys[:, None],
-        (keys[:, None] >> np.minimum(codes, 62)) & 1 == 1,
-    )
+    table = np.arange(width, dtype=np.int64) < cuts[:, None]
     for row, split in enumerate(splits):
-        if type(split) is not NumericSplit and split.subset_mask >= _SHIFT_LIMIT:
+        if type(split) is not NumericSplit:
             member = split.membership_table()[:width]
-            table[row] = False
             table[row, : member.shape[0]] = member
     return table
 

@@ -8,9 +8,8 @@ the WAL sequence number the snapshot is consistent with.
 
 Design points:
 
-* **Compact and pickle-free.** Arrays are stored as a deflate-compressed
-  ``.npz`` archive (the layout of :func:`numpy.savez_compressed`, written
-  at the fastest deflate level) and loaded with ``allow_pickle=False``, so
+* **Compact and pickle-free.** Arrays are stored via
+  :func:`numpy.savez_compressed` and loaded with ``allow_pickle=False``, so
   a snapshot can never execute code on load (unlike ``pickle``-based
   ``HedgeCutClassifier.save``). Leaf and split statistics are plain int64
   columns; gains are float64 and round-trip bit-for-bit.
@@ -144,8 +143,35 @@ class _Encoder:
         self.v_left_plus: list[int] = []
         self.node_overflow: dict[str, str] = {}
         self.variant_overflow: dict[str, str] = {}
-        #: Every node emitted so far, in row order.
-        self.queue: list[TreeNode] = []
+
+    def _alloc_node(self) -> int:
+        slot = len(self.kind)
+        self.kind.append(0)
+        self.a.append(0)
+        self.b.append(0)
+        self.c.append(0)
+        self.d.append(0)
+        self.is_cat.append(False)
+        self.random.append(False)
+        self.s_n.append(0)
+        self.s_plus.append(0)
+        self.s_left.append(0)
+        self.s_left_plus.append(0)
+        return slot
+
+    def _alloc_variant(self) -> int:
+        slot = len(self.v_feature)
+        self.v_feature.append(0)
+        self.v_payload.append(0)
+        self.v_is_cat.append(False)
+        self.v_left.append(0)
+        self.v_right.append(0)
+        self.v_gain.append(0.0)
+        self.v_n.append(0)
+        self.v_plus.append(0)
+        self.v_vleft.append(0)
+        self.v_left_plus.append(0)
+        return slot
 
     @staticmethod
     def _split_payload(split: Split) -> tuple[int, bool, int | None]:
@@ -158,88 +184,58 @@ class _Encoder:
         return _PAYLOAD_OVERFLOW, True, mask
 
     def encode_tree(self, root: TreeNode) -> int:
-        """Emit one tree; returns the root's node index.
-
-        Rows are written breadth first: a node's row index is its position
-        in ``queue``, so its children's indices are known (and larger than
-        its own) when its row is appended, and every column only grows.
-        """
-        queue = self.queue
-        enqueue = queue.append
-        kind, a, b, c, d = (
-            self.kind.append, self.a.append, self.b.append, self.c.append,
-            self.d.append,
-        )
-        is_cat_, random_ = self.is_cat.append, self.random.append
-        s_n, s_plus, s_left, s_left_plus = (
-            self.s_n.append, self.s_plus.append, self.s_left.append,
-            self.s_left_plus.append,
-        )
-        root_slot = len(queue)
-        enqueue(root)
-        slot = root_slot
-        while slot < len(queue):
-            node = queue[slot]
+        """Emit one tree; returns the root's node index."""
+        root_slot = self._alloc_node()
+        work: list[tuple[TreeNode, int]] = [(root, root_slot)]
+        while work:
+            node, slot = work.pop()
             if isinstance(node, Leaf):
-                kind(_KIND_LEAF)
-                a(node.n)
-                b(node.n_plus)
-                c(0)
-                d(0)
-                is_cat_(False)
-                random_(False)
-                s_n(0)
-                s_plus(0)
-                s_left(0)
-                s_left_plus(0)
+                self.kind[slot] = _KIND_LEAF
+                self.a[slot] = node.n
+                self.b[slot] = node.n_plus
             elif isinstance(node, SplitNode):
+                self.kind[slot] = _KIND_SPLIT
                 payload, is_cat, overflow = self._split_payload(node.split)
                 if overflow is not None:
                     self.node_overflow[str(slot)] = hex(overflow)
-                stats = node.stats
-                kind(_KIND_SPLIT)
-                a(node.split.feature)
-                b(payload)
-                c(len(queue))
-                d(len(queue) + 1)
-                is_cat_(is_cat)
-                random_(node.random)
-                s_n(stats.n)
-                s_plus(stats.n_plus)
-                s_left(stats.n_left)
-                s_left_plus(stats.n_left_plus)
-                enqueue(node.left)
-                enqueue(node.right)
+                self.a[slot] = node.split.feature
+                self.b[slot] = payload
+                self.is_cat[slot] = is_cat
+                self.random[slot] = node.random
+                self.s_n[slot] = node.stats.n
+                self.s_plus[slot] = node.stats.n_plus
+                self.s_left[slot] = node.stats.n_left
+                self.s_left_plus[slot] = node.stats.n_left_plus
+                left = self._alloc_node()
+                right = self._alloc_node()
+                self.c[slot] = left
+                self.d[slot] = right
+                work.append((node.left, left))
+                work.append((node.right, right))
             else:
-                kind(_KIND_MAINTENANCE)
-                a(len(self.v_feature))
-                b(len(node.variants))
-                c(node.active_index)
-                d(0)
-                is_cat_(False)
-                random_(False)
-                s_n(0)
-                s_plus(0)
-                s_left(0)
-                s_left_plus(0)
+                self.kind[slot] = _KIND_MAINTENANCE
+                self.a[slot] = len(self.v_feature)
+                self.b[slot] = len(node.variants)
+                self.c[slot] = node.active_index
                 for variant in node.variants:
+                    vslot = self._alloc_variant()
                     payload, is_cat, overflow = self._split_payload(variant.split)
                     if overflow is not None:
-                        self.variant_overflow[str(len(self.v_feature))] = hex(overflow)
-                    stats = variant.stats
-                    self.v_feature.append(variant.split.feature)
-                    self.v_payload.append(payload)
-                    self.v_is_cat.append(is_cat)
-                    self.v_left.append(len(queue))
-                    self.v_right.append(len(queue) + 1)
-                    self.v_gain.append(variant.gain)
-                    self.v_n.append(stats.n)
-                    self.v_plus.append(stats.n_plus)
-                    self.v_vleft.append(stats.n_left)
-                    self.v_left_plus.append(stats.n_left_plus)
-                    enqueue(variant.left)
-                    enqueue(variant.right)
-            slot += 1
+                        self.variant_overflow[str(vslot)] = hex(overflow)
+                    self.v_feature[vslot] = variant.split.feature
+                    self.v_payload[vslot] = payload
+                    self.v_is_cat[vslot] = is_cat
+                    self.v_gain[vslot] = variant.gain
+                    self.v_n[vslot] = variant.stats.n
+                    self.v_plus[vslot] = variant.stats.n_plus
+                    self.v_vleft[vslot] = variant.stats.n_left
+                    self.v_left_plus[vslot] = variant.stats.n_left_plus
+                    left = self._alloc_node()
+                    right = self._alloc_node()
+                    self.v_left[vslot] = left
+                    self.v_right[vslot] = right
+                    work.append((variant.left, left))
+                    work.append((variant.right, right))
         return root_slot
 
     def arrays(self, tree_roots: list[int]) -> dict[str, np.ndarray]:
@@ -285,21 +281,6 @@ def _checksum(arrays: dict[str, np.ndarray], meta: dict) -> str:
         json.dumps(canonical, sort_keys=True, separators=(",", ":")).encode("utf-8")
     )
     return digest.hexdigest()
-
-
-def _write_npz(sink, arrays: dict[str, np.ndarray]) -> None:
-    """Write an ``.npz`` archive with deflate level 1.
-
-    The members are what :func:`numpy.savez_compressed` writes; level 1
-    compresses about five times faster than its default level, for files
-    about a fifth larger.
-    """
-    with zipfile.ZipFile(
-        sink, mode="w", compression=zipfile.ZIP_DEFLATED, compresslevel=1
-    ) as archive:
-        for key, array in arrays.items():
-            with archive.open(key + ".npy", mode="w", force_zip64=True) as member:
-                np.lib.format.write_array(member, np.asanyarray(array), allow_pickle=False)
 
 
 def save_snapshot(
@@ -356,7 +337,7 @@ def save_snapshot(
     path.parent.mkdir(parents=True, exist_ok=True)
     staging = path.with_name(path.name + ".tmp")
     with open(staging, "wb") as sink:
-        _write_npz(sink, {"__meta__": np.array(meta_json), **arrays})
+        np.savez_compressed(sink, __meta__=np.array(meta_json), **arrays)
         sink.flush()
         if fsync:
             os.fsync(sink.fileno())

@@ -29,6 +29,7 @@ from repro.core.nodes import Leaf, MaintenanceNode, SplitNode, iter_nodes
 from repro.core.packed import PackedEnsemble
 from repro.core.tree import TreeBuilder
 from repro.core.unlearning import UnlearningReport
+from repro.dataprep.dataset import Record
 from repro.datasets.registry import load_dataset
 from repro.evaluation.splits import train_test_split
 
@@ -242,6 +243,29 @@ class TestFastPathEquivalence:
         train, _ = income_split
         with pytest.raises(ValueError, match="path"):
             fitted_model.unlearn(train.record(0), path="warp")
+
+    def test_negative_code_rejected_alike_on_every_write(self, fitted_model, income_split):
+        # A negative code would route left at every numeric split of the
+        # object walk but is out of range for the kernel; every write
+        # refuses it with the same typed error and touches nothing.
+        train, test = income_split
+        record = train.record(0)
+        bad = Record((-1,) + tuple(record.values[1:]), record.label)
+        obj = copy.deepcopy(fitted_model)
+        fast = copy.deepcopy(fitted_model)
+        _ = fast.packed.unlearn_pack()
+        for model in (obj, fast):
+            before = _fingerprint(model)
+            before_proba = model.predict_proba_batch(test)
+            for path in ("object", "fast"):
+                with pytest.raises(UnlearningError, match="negative code"):
+                    model.unlearn(bad, allow_budget_overrun=True, path=path)
+            with pytest.raises(UnlearningError, match="negative code"):
+                model.unlearn_batch([record, bad], allow_budget_overrun=True)
+            with pytest.raises(UnlearningError, match="negative code"):
+                model.learn_one(bad)
+            assert _fingerprint(model) == before
+            assert np.array_equal(model.predict_proba_batch(test), before_proba)
 
 
 def _fit(train, builder, **kwargs):

@@ -15,6 +15,7 @@ The equivalence of the kernel with the object walk is asserted by
 """
 
 import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.ensemble import HedgeCutClassifier
 from repro.core.exceptions import UnlearningError
+from repro.core.nodes import Leaf, MaintenanceNode, SubtreeVariant, iter_nodes
 from repro.core.packed import LEAF_MARKER, TornTraversalError
 from repro.core.writes import FAN_MARKER, UnlearnPack
 from repro.datasets.registry import load_dataset
@@ -61,6 +63,34 @@ def switching_model():
     for _ in range(accepted):
         model.unlearn(record, allow_budget_overrun=True)
     return data, model, record
+
+
+def _first_mnode(tree):
+    return next(
+        node for node in iter_nodes(tree.root) if isinstance(node, MaintenanceNode)
+    )
+
+
+def test_bound_trees_equal_their_plain_copies(switching_model):
+    # Binding changes where the values live, not what they are: a packed
+    # tree equals its deepcopy and its unpickled copy, whose objects are
+    # plain, maintenance nodes and variants included -- and stops being
+    # equal once a count differs.
+    _, model, _ = switching_model
+    bound = _first_mnode(model.trees[0])
+    for copied in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+        for tree, twin in zip(model.trees, copied.trees):
+            assert tree.root == twin.root and twin.root == tree.root
+        plain = _first_mnode(copied.trees[0])
+        assert type(plain) is MaintenanceNode
+        assert type(plain.variants[0]) is SubtreeVariant
+        assert bound == plain and plain == bound
+        leaf = next(
+            node for node in iter_nodes(plain.variants[0].left)
+            if isinstance(node, Leaf)
+        )
+        leaf.n += 1
+        assert bound != plain and plain != bound
 
 
 def test_rejected_record_leaves_the_store_byte_identical(switching_model):

@@ -15,7 +15,9 @@ import pytest
 
 from repro.core.ensemble import HedgeCutClassifier
 from repro.core.exceptions import HedgeCutError
+from repro.dataprep.dataset import Record
 from repro.persistence.store import ModelStore
+from repro.serving.audit import AuditedUnlearner
 
 from tests.conftest import make_random_dataset
 
@@ -297,6 +299,36 @@ class TestMixedStreamRecovery:
         recovered = ModelStore(tmp_path / "store").recover()
         assert recovered.n_replayed == k
         assert recovered.n_replay_failures == 0
+        np.testing.assert_array_equal(
+            recovered.model.predict_proba_batch(dataset),
+            live.predict_proba_batch(dataset),
+        )
+
+
+class TestRejectedRecordReplay:
+    def test_negative_code_frames_replay_as_failures(self, tmp_path, noisy_setup):
+        # A request is logged before the model sees it. A record with a
+        # negative code is refused as a typed error, so the audit counts
+        # it as failed and recovery replays it as a failure, deletion
+        # and insertion alike.
+        model, dataset = noisy_setup
+        live = copy.deepcopy(model)
+        _ = live.packed.unlearn_pack()
+        good = dataset.record(0)
+        bad = Record((-1,) + tuple(good.values[1:]), good.label)
+        with ModelStore(tmp_path / "store") as store:
+            store.save_snapshot(live, wal_seq=0)
+            audit = AuditedUnlearner(live, wal=store.wal)
+            audit.unlearn("del-ok", good, allow_budget_overrun=True)
+            audit.unlearn("del-bad", bad, allow_budget_overrun=True)
+            audit.learn_one("ins-bad", bad)
+            audit.learn_one("ins-ok", dataset.record(250))
+        assert [entry.succeeded for entry in audit.entries] == [True, False, False, True]
+
+        recovered = ModelStore(tmp_path / "store").recover()
+        assert recovered.n_replayed == 2
+        assert recovered.n_replay_failures == 2
+        assert recovered.wal_seq == 4
         np.testing.assert_array_equal(
             recovered.model.predict_proba_batch(dataset),
             live.predict_proba_batch(dataset),

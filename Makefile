@@ -53,4 +53,4 @@ bench-serving:
 ## Static sanity: byte-compile everything (no third-party linter is
 ## vendored in the image) and build the native kernel warning-free.
 lint: native
-	$(PYTHON) -m compileall -q src tests benchmarks
+	$(PYTHON) -m compileall -q src tests benchmarks examples perfbench

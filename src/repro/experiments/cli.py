@@ -251,6 +251,7 @@ def _run_serve(config: ExperimentConfig, args) -> str:
     processes attached to one packed ensemble). Identical seeds produce
     identical request schedules, so the two modes are directly comparable.
     """
+    import itertools
     import tempfile
 
     from repro.core.ensemble import HedgeCutClassifier
@@ -258,7 +259,7 @@ def _run_serve(config: ExperimentConfig, args) -> str:
     from repro.persistence.store import ModelStore
     from repro.serving.engine import ReplicatedServingEngine
     from repro.serving.shm import ShmReplicatedServingEngine
-    from repro.serving.simulator import EngineServingSimulator, RequestMix
+    from repro.serving.simulator import RequestMix, ServingSimulator
 
     name = config.datasets[0]
     dataset = load_dataset(name, n_rows=config.rows_for(name), seed=config.seed)
@@ -283,9 +284,17 @@ def _run_serve(config: ExperimentConfig, args) -> str:
                 model, store, n_replicas=args.readers,
                 consistency=args.consistency,
             )
+        request_ids = (f"sim-{seq}" for seq in itertools.count(1))
+
+        def unlearn(record):
+            return engine.unlearn(
+                next(request_ids), record, allow_budget_overrun=True
+            )
+
         with engine:
-            simulator = EngineServingSimulator(
-                engine,
+            simulator = ServingSimulator(
+                engine.predict_rows,
+                unlearn,
                 prediction_pool=dataset,
                 unlearn_pool=unlearn_pool,
                 seed=config.seed,

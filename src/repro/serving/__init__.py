@@ -5,17 +5,19 @@ system, at latencies comparable to prediction requests, instead of through
 heavyweight retraining pipelines. This package provides that serving
 system in three tiers:
 
-* :class:`ServingSimulator` -- a single-node request loop mixing online
-  prediction and GDPR deletion requests, measuring throughput and latency
-  percentiles (drives the Table 2 experiment).
+* :class:`ServingSimulator` -- a request loop mixing online prediction
+  and GDPR deletion requests against a bare model or any engine below,
+  measuring throughput and latency percentiles (drives the Table 2
+  experiment and the CLI's ``serve`` command).
 * :class:`ReplicatedServingEngine` -- the durable, multi-replica engine:
   predictions fan out round-robin over replica workers while deletions are
   sequenced through a write-ahead log (:mod:`repro.persistence`) before
   being applied, with per-replica staleness tracking, configurable read
   consistency and crash recovery from snapshot + log replay.
-* :class:`MicroBatcher` -- the micro-batching front end of the engine:
-  collects prediction requests up to a size/delay bound and answers each
-  batch with a single packed-kernel call on the next replica.
+* :class:`MicroBatchConfig` -- the size/delay bounds of the
+  micro-batching front end,
+  :class:`~repro.sharding.microbatch.ShardedMicroBatcher` (one shard is
+  the plain, unsharded case).
 * :class:`ShmReplicatedServingEngine` -- the multi-process successor of
   the replicated engine (:mod:`repro.serving.shm`): one packed ensemble
   in shared memory, ``N`` reader processes attached zero-copy, deletions
@@ -27,12 +29,7 @@ system in three tiers:
 
 from repro.serving.audit import AuditedUnlearner, AuditEntry
 from repro.serving.engine import CONSISTENCY_MODES, ReplicatedServingEngine
-from repro.serving.microbatch import (
-    MicroBatchConfig,
-    MicroBatcher,
-    MicroBatchStats,
-    PendingPrediction,
-)
+from repro.serving.microbatch import MicroBatchConfig
 from repro.serving.pipeline import (
     DeploymentReport,
     ModelRegistry,
@@ -46,23 +43,14 @@ from repro.serving.shm import (
     ShmReplicatedServingEngine,
     TornReadError,
 )
-from repro.serving.simulator import (
-    EngineServingSimulator,
-    RequestMix,
-    ServingSimulator,
-    ThroughputReport,
-)
+from repro.serving.simulator import RequestMix, ServingSimulator, ThroughputReport
 
 __all__ = [
     "AuditedUnlearner",
     "AuditEntry",
     "CONSISTENCY_MODES",
     "ReplicatedServingEngine",
-    "MicroBatcher",
     "MicroBatchConfig",
-    "MicroBatchStats",
-    "PendingPrediction",
-    "EngineServingSimulator",
     "RequestMix",
     "ServingSimulator",
     "SharedEnsembleReader",

@@ -1,8 +1,7 @@
 """Replicated, crash-recoverable serving engine for HedgeCut models.
 
-This is the durable successor of the single-node
-:class:`~repro.serving.simulator.ServingSimulator`: it layers ``N`` replica
-workers over the :mod:`repro.persistence` subsystem. Prediction requests
+It serves a fitted model durably: it layers ``N`` replica workers over
+the :mod:`repro.persistence` subsystem. Prediction requests
 fan out round-robin across the replicas; unlearning requests are sequenced
 through the write-ahead deletion log *before* any replica is touched, so a
 process crash never loses an acknowledged deletion -- on restart,
@@ -113,17 +112,19 @@ class ReplicatedServingEngine:
             applied_seq = store.wal.last_seq
         self.store = store
         self.consistency = consistency
-        if model.is_fitted:
-            # Warm the packed read kernel and the write-side unlearn pack
-            # before the replicas are copied: every replica then starts
-            # pack-resident, so every write takes the native write kernel
-            # of :mod:`repro.core.writes` from the first request
-            # instead of paying a pack build (or the object walk) on the
-            # serving hot path.
-            model.packed.unlearn_pack()
         self._replicas = [_Replica(model, applied_seq)]
         for _ in range(n_replicas - 1):
             self._replicas.append(_Replica(copy.deepcopy(model), applied_seq))
+        if model.is_fitted:
+            # Warm the packed read kernel and the write-side unlearn pack
+            # of every replica: each then starts pack-resident, so every
+            # write takes the native write kernel of
+            # :mod:`repro.core.writes` from the first request instead of
+            # paying a pack build on the serving hot path. A copy must be
+            # warmed itself, because copying a pack leaves its write side
+            # unbuilt.
+            for replica in self._replicas:
+                replica.model.packed.unlearn_pack()
         self._cursor = itertools.cycle(range(n_replicas))
         # In-memory tail of durable deletion ops not yet applied
         # everywhere. Pruned once all replicas pass.
@@ -237,10 +238,11 @@ class ReplicatedServingEngine:
     def predict_rows(self, values: np.ndarray) -> np.ndarray:
         """Answer one micro-batch of raw code rows with a single packed call.
 
-        This is the dispatch target of
-        :class:`~repro.serving.microbatch.MicroBatcher`: the whole
-        ``(n_rows, n_features)`` matrix is routed to one replica and
-        traversed by its packed ensemble kernel in one call.
+        This is the dispatch target of the serving front ends
+        (:class:`~repro.serving.simulator.ServingSimulator`, the sharded
+        micro-batcher): the whole ``(n_rows, n_features)`` matrix is
+        routed to one replica and traversed by its packed ensemble kernel
+        in one call.
         """
         return self._next_replica().model.predict_rows(values)
 

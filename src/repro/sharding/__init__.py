@@ -2,9 +2,9 @@
 
 Hash-partitioned ensemble-of-ensembles (:class:`ShardedHedgeCut`) with
 per-shard durability (:class:`ShardedModelStore`), a durable multi-shard
-serving engine (:class:`ShardedServingEngine`), shard-aware micro-batching
-(:class:`ShardedMicroBatcher`) and an asyncio front end
-(:class:`AsyncShardedGateway`).
+serving engine (:class:`ShardedServingEngine`), the micro-batcher
+(:class:`ShardedMicroBatcher`; one shard is the plain, unsharded case)
+and an asyncio front end (:class:`AsyncShardedGateway`).
 """
 
 from repro.sharding.gateway import (
@@ -23,7 +23,6 @@ from repro.sharding.microbatch import (
 from repro.sharding.model import ShardedHedgeCut
 from repro.sharding.partitioner import HashPartitioner, PartitionStats
 from repro.sharding.service import ShardedServingEngine
-from repro.sharding.simulator import ShardedRunReport, ShardedServingSimulator
 from repro.sharding.store import RecoveredShardedModel, ShardedModelStore
 
 __all__ = [
@@ -41,7 +40,5 @@ __all__ = [
     "ShardedMicroBatchStats",
     "ShardedMicroBatcher",
     "ShardedModelStore",
-    "ShardedRunReport",
     "ShardedServingEngine",
-    "ShardedServingSimulator",
 ]

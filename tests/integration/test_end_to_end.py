@@ -59,11 +59,13 @@ def test_serving_simulator_throughput_is_stable_under_unlearning():
     model = HedgeCutClassifier(n_trees=3, epsilon=0.05, seed=3)
     model.fit(train)
 
-    pure = ServingSimulator(model, test, seed=0).run(RequestMix(n_requests=300))
-    pool = [train.record(row) for row in range(model.deletion_budget)]
-    mixed = ServingSimulator(model, test, unlearn_pool=pool, seed=0).run(
-        RequestMix(n_requests=300, unlearn_fraction=0.01)
+    pure = ServingSimulator(model.predict_rows, model.unlearn, test, seed=0).run(
+        RequestMix(n_requests=300)
     )
+    pool = [train.record(row) for row in range(model.deletion_budget)]
+    mixed = ServingSimulator(
+        model.predict_rows, model.unlearn, test, unlearn_pool=pool, seed=0
+    ).run(RequestMix(n_requests=300, unlearn_fraction=0.01))
     assert mixed.n_unlearnings >= 1
     # Mixed-in unlearning must not collapse throughput (paper: no
     # significant difference; we allow a generous factor at toy scale).

@@ -39,6 +39,14 @@ class TestConstruction:
         assert engine.n_replicas == 3
         assert engine.staleness() == [0, 0, 0]
 
+    def test_every_replica_starts_with_a_write_pack(self, tmp_path, model):
+        """No replica builds its write pack on the first request's path."""
+        engine = _engine(tmp_path, model, n_replicas=3)
+        assert [
+            replica.model.packed._unlearn_pack is not None
+            for replica in engine._replicas
+        ] == [True, True, True]
+
 
 class TestStrongConsistency:
     def test_deletions_reach_every_replica(self, tmp_path, model, dataset):

@@ -17,7 +17,7 @@ import pytest
 from repro.core.ensemble import HedgeCutClassifier
 from repro.persistence.store import ModelStore
 from repro.serving import shm as shm_module
-from repro.serving.microbatch import MicroBatchConfig, MicroBatcher
+from repro.serving.microbatch import MicroBatchConfig
 from repro.serving.shm import (
     HDR_SEQLOCK,
     SharedEnsembleReader,
@@ -278,18 +278,6 @@ class TestFleetEngine:
             assert engine.predict(record) == reference.predict(record)
             assert engine.predict_proba(record) == reference.predict_proba(record)
 
-    def test_microbatcher_dispatches_over_the_fleet(self, tmp_path, model, dataset):
-        reference = copy.deepcopy(model)
-        with _engine(tmp_path, model) as engine:
-            batcher = MicroBatcher(engine, MicroBatchConfig(max_batch=4))
-            pending = [
-                batcher.submit_predict(dataset.record(row).values)
-                for row in range(8)
-            ]
-            batcher.flush()
-            labels = np.asarray([p.result() for p in pending])
-            assert np.array_equal(labels, reference.predict_batch(dataset)[:8])
-
     def test_pipelined_fleet_matches_sync_path(self, tmp_path, model, dataset):
         with _engine(tmp_path, model) as engine:
             matrix = dataset.feature_matrix()
@@ -495,6 +483,50 @@ class TestShardedShm:
             assert np.array_equal(
                 engine.predict_rows(matrix), reference.predict_rows(matrix)
             )
+
+    def test_microbatcher_dispatches_over_the_fleet(self, tmp_path, dataset):
+        """The batcher over a K=2 shm fleet: the benchmark's fleet stack."""
+        from repro.sharding.microbatch import ShardedMicroBatcher
+        from repro.sharding.model import ShardedHedgeCut
+        from repro.sharding.service import ShardedServingEngine
+        from repro.sharding.store import ShardedModelStore
+
+        model = ShardedHedgeCut(
+            n_shards=2, n_trees=4, epsilon=0.05, seed=5
+        ).fit(dataset)
+        reference = copy.deepcopy(model)
+        store = ShardedModelStore(tmp_path / "sharded", n_shards=2)
+        with ShardedServingEngine(
+            model, store, n_replicas=1, serving="shm"
+        ) as engine:
+            batcher = ShardedMicroBatcher(engine, MicroBatchConfig(max_batch=4))
+            before = [
+                batcher.submit_predict(dataset.record(row).values)
+                for row in range(6)
+            ]
+            deletions = [
+                batcher.submit_unlearn(
+                    f"req-{row}", dataset.record(row), allow_budget_overrun=True
+                )
+                for row in range(6)
+            ]
+            expected_before = reference.predict_batch(dataset)[:6]
+            for row in range(6):
+                reference.unlearn(dataset.record(row), allow_budget_overrun=True)
+            after = [
+                batcher.submit_predict(dataset.record(row).values)
+                for row in range(8)
+            ]
+            batcher.flush()
+            assert all(handle.result().succeeded for handle in deletions)
+            assert np.array_equal(
+                [handle.result() for handle in before], expected_before
+            )
+            assert np.array_equal(
+                [handle.result() for handle in after],
+                reference.predict_batch(dataset)[:8],
+            )
+            assert batcher.stats.n_requests == 14
 
     def test_rejects_unknown_serving_mode(self, tmp_path, dataset):
         from repro.sharding.model import ShardedHedgeCut

@@ -11,7 +11,7 @@ PYTHONPATH := src
 
 export PYTHONPATH
 
-.PHONY: native test test-all bench-smoke bench-inference bench-sharding bench-serving lint
+.PHONY: native test test-all bench-smoke bench-sharding bench-serving lint
 
 ## Rebuild the native kernels into their cache with -Wall -Wextra -Werror.
 native:
@@ -31,11 +31,6 @@ test-all:
 ## benchmarks/results.txt.
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only --benchmark-disable-gc -q
-
-## Packed-inference benchmark; machine-readable results land in
-## BENCH_inference.json at the repo root.
-bench-inference:
-	$(PYTHON) benchmarks/bench_inference.py
 
 ## SISA sharding benchmark (deletion throughput and predict latency at
 ## K in {1,2,4,8}, K=1 bit-identity and the K=4 >= 2x scaling bar asserted

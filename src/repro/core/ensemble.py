@@ -83,10 +83,20 @@ class EnsembleCensus:
         return self.n_maintenance_nodes / self.n_nodes
 
 
+#: The element types of a value tuple :func:`_as_values` passes through.
+_PLAIN_INTS = {int}
+
+
 def _as_values(record: Record | Sequence[int] | np.ndarray) -> tuple[int, ...]:
-    """Normalise the accepted record representations to a value tuple."""
+    """Normalise the accepted record representations to a value tuple.
+
+    A tuple of plain ints is already that tuple and is returned as is;
+    lists, arrays and numpy integers are converted value by value.
+    """
     if isinstance(record, Record):
         return record.values
+    if type(record) is tuple and set(map(type, record)) == _PLAIN_INTS:
+        return record
     return tuple(int(value) for value in record)
 
 

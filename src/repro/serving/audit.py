@@ -180,7 +180,7 @@ class AuditedUnlearner:
         """Apply one batch of deletions as a single audited operation.
 
         With a WAL attached the whole batch is group-committed as **one**
-        CRC frame with one flush/fsync before the model is touched;
+        CRC frame with one write and sync before the model is touched;
         ``record_request_ids`` (optional, one per record) are stored inside
         the frame so per-record provenance survives in the durable log.
         The model-side apply is one native write-kernel call

@@ -333,7 +333,7 @@ class ReplicatedServingEngine:
         """Serve one batch of deletion requests as a single durable op.
 
         The whole batch becomes **one** group-committed WAL frame (one
-        flush/fsync instead of one per record -- the durability half of
+        write and sync instead of one per record -- the durability half of
         the batched delete path) and one pass of the vectorised
         batch-unlearning kernel on the primary. Propagation to the other
         replicas follows the consistency mode, replaying the batch as an

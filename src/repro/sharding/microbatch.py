@@ -30,7 +30,7 @@ The interleaving a caller observes equals submission order, per shard.
 
 Deletions for the same shard coalesce into one group-committed WAL frame
 and one batch-kernel pass on that shard (a GDPR deletion storm against one
-user's shard costs one fsync) instead of a flush and an fsync per
+user's shard costs one sync) instead of a write and a sync per
 deletion.
 
 The batcher is synchronous, like the rest of the serving layer: a caller

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.ensemble import HedgeCutClassifier
+from repro.core.ensemble import HedgeCutClassifier, _as_values
 from repro.core.exceptions import (
     DeletionBudgetExhausted,
     NotFittedError,
@@ -92,6 +92,53 @@ class TestPrediction:
             float(np.mean(test.labels)), 1.0 - float(np.mean(test.labels))
         )
         assert accuracy >= majority - 0.05
+
+
+class TestValueForms:
+    """A record's values reach the kernel the same way in every accepted
+    form; a tuple of plain ints skips the per-value conversion."""
+
+    def test_every_form_predicts_alike(self, fitted_model_session, income_split):
+        model = fitted_model_session
+        _, test = income_split
+        for row in range(0, test.n_rows, 7):
+            record = test.record(row)
+            values = tuple(record.values)
+            forms = [
+                record,
+                values,
+                list(values),
+                np.asarray(values, dtype=np.int64),
+                tuple(np.int64(value) for value in values),
+            ]
+            assert {model.predict(form) for form in forms} == {model.predict(values)}
+            assert len({model.predict_proba(form) for form in forms}) == 1
+
+    def test_only_plain_int_tuples_pass_through(self):
+        values = (3, 0, 2)
+        assert _as_values(values) is values
+        for form in ([3, 0, 2], np.array(values), (np.int64(3), 0, 2), (3, False, 2)):
+            converted = _as_values(form)
+            assert converted == values and form is not converted
+            assert {type(value) for value in converted} == {int}
+
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda values: ("a",) + values[1:], ValueError),
+            (lambda values: (None,) + values[1:], TypeError),
+            (lambda values: (2**70,) + values[1:], OverflowError),
+            (lambda values: values[:1], IndexError),
+        ],
+    )
+    def test_bad_values_raise(self, fitted_model_session, income_split, edit, error):
+        _, test = income_split
+        bad = edit(tuple(test.record(0).values))
+        for form in (bad, list(bad)):
+            with pytest.raises(error):
+                fitted_model_session.predict(form)
+            with pytest.raises(error):
+                fitted_model_session.predict_proba(form)
 
 
 class TestUnlearning:

@@ -1,5 +1,9 @@
 """Tests for the CRC-framed write-ahead deletion log."""
 
+import errno
+import json
+import os
+
 import pytest
 
 from repro.dataprep.dataset import Record
@@ -9,6 +13,7 @@ from repro.persistence.wal import (
     InsertionRecord,
     WalCorruptionError,
     WriteAheadLog,
+    _frame,
 )
 
 
@@ -276,3 +281,171 @@ class TestRotationAndCompaction:
             wal.append(_record(0))
             assert wal.compact(upto_seq=10) == []
             assert [e.seq for e in wal.records()] == [1]
+
+
+def _sorted_dumps(body: dict) -> bytes:
+    """The payload encoding every earlier writer used."""
+    return json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def _legacy_body(record: DeletionRecord) -> dict:
+    body = {
+        "seq": record.seq,
+        "values": list(record.values),
+        "label": record.label,
+        "request_id": record.request_id,
+        "allow_budget_overrun": record.allow_budget_overrun,
+    }
+    if record.shard_id is not None:
+        body["shard_id"] = record.shard_id
+    return body
+
+
+class TestPayloadEncoding:
+    """Payloads are built in sorted key order and encoded without sorting;
+    the bytes must equal the sorted ``json.dumps`` encoding exactly."""
+
+    DELETIONS = (
+        DeletionRecord(seq=1, values=(0, 3, 2), label=0),
+        DeletionRecord(
+            seq=2**40, values=(7,), label=1, request_id="r-\u00e9\u4e2d",
+            allow_budget_overrun=True, shard_id=3,
+        ),
+        DeletionRecord(seq=9, values=(), label=1, request_id='q"\\', shard_id=0),
+    )
+
+    @pytest.mark.parametrize("index", range(len(DELETIONS)))
+    def test_deletion_bytes_unchanged(self, index):
+        record = self.DELETIONS[index]
+        assert record.to_payload() == _sorted_dumps(_legacy_body(record))
+
+    def test_batch_bytes_unchanged(self):
+        batch = BatchDeletionRecord(records=self.DELETIONS)
+        legacy = {"batch": [_legacy_body(record) for record in self.DELETIONS]}
+        assert batch.to_payload() == _sorted_dumps(legacy)
+
+    @pytest.mark.parametrize("shard_id", [None, 0, 5])
+    def test_insertion_bytes_unchanged(self, shard_id):
+        record = InsertionRecord(
+            seq=4, values=(1, 2), label=1, request_id="ins-\u00fc", shard_id=shard_id
+        )
+        legacy = {
+            "kind": "insert",
+            "seq": 4,
+            "values": [1, 2],
+            "label": 1,
+            "request_id": "ins-\u00fc",
+        }
+        if shard_id is not None:
+            legacy["shard_id"] = shard_id
+        assert record.to_payload() == _sorted_dumps(legacy)
+
+
+def _frame_bytes(records) -> int:
+    return sum(
+        len(_frame(DeletionRecord(seq=i + 1, values=r.values, label=r.label).to_payload()))
+        for i, r in enumerate(records)
+    )
+
+
+class TestPreallocatedSegments:
+    def test_live_segment_is_reserved_and_sealed_ones_trimmed(self, tmp_path):
+        records = [_record(i) for i in range(3)]
+        with WriteAheadLog(tmp_path, fsync=True, max_segment_bytes=4096) as wal:
+            (segment,) = wal.segment_paths()
+            assert segment.stat().st_size == 0  # reserved lazily, not on open
+            wal.append(records[0])
+            wal.append(records[1])
+            assert segment.stat().st_size == 4096
+            second = wal.rotate()
+            assert segment.stat().st_size == _frame_bytes(records[:2])
+            wal.append(records[2])
+            assert second.stat().st_size == 4096
+        frame = _frame(
+            DeletionRecord(seq=3, values=records[2].values, label=records[2].label)
+            .to_payload()
+        )
+        assert second.read_bytes() == frame
+
+    def test_frame_past_the_reservation_extends_it(self, tmp_path):
+        with WriteAheadLog(tmp_path, fsync=True, max_segment_bytes=64) as wal:
+            wal.append(_record(0))  # one frame is larger than the segment
+            assert len(wal.segment_paths()) == 2
+            assert [e.seq for e in wal.records()] == [1]
+        assert wal.segment_paths()[0].stat().st_size == _frame_bytes([_record(0)])
+
+    @pytest.mark.parametrize("tail", ["zeros", "garbage"])
+    def test_torn_last_frame_at_every_offset(self, tmp_path, tail):
+        """Cut a live, reserved segment's last frame at each byte offset,
+        as a crash mid-``pwrite`` does: reopen keeps exactly the earlier
+        frames and the next append lands at the cut."""
+        earlier = [_record(0), _record(1)]
+        victim = _record(2)
+        frame = _frame(
+            DeletionRecord(seq=3, values=victim.values, label=victim.label).to_payload()
+        )
+        garbage = bytes(byte ^ 0xA5 for byte in frame)
+        for cut in range(len(frame)):
+            directory = tmp_path / f"{tail}-{cut}"
+            wal = WriteAheadLog(directory, fsync=True, max_segment_bytes=4096)
+            appended = [wal.append(record) for record in earlier]
+            (segment,) = wal.segment_paths()
+            end = _frame_bytes(earlier)
+            torn = frame[:cut] + (garbage[cut:] if tail == "garbage" else b"")
+            descriptor = os.open(segment, os.O_WRONLY)
+            try:
+                os.pwrite(descriptor, torn, end)
+            finally:
+                os.close(descriptor)
+            # The crash: the descriptor goes without the trim of a close,
+            # so the reservation stays.
+            wal._file.close()
+            assert segment.stat().st_size == 4096
+            with WriteAheadLog(directory, fsync=True, max_segment_bytes=4096) as reopened:
+                assert list(reopened.records()) == appended, cut
+                assert segment.stat().st_size == end, cut
+                resumed = reopened.append(victim)
+                assert resumed.seq == 3
+            assert segment.read_bytes()[end:] == frame, cut
+            with WriteAheadLog(directory) as reader:
+                assert [e.seq for e in reader.records()] == [1, 2, 3]
+
+    def test_without_fallocate_appends_grow_the_file(self, tmp_path, monkeypatch):
+        def unsupported(descriptor, offset, length):
+            raise OSError(errno.EOPNOTSUPP, "operation not supported")
+
+        monkeypatch.setattr(os, "posix_fallocate", unsupported)
+        records = [_record(i) for i in range(5)]
+        with WriteAheadLog(tmp_path, fsync=True) as wal:
+            for record in records[:3]:
+                wal.append(record)
+            (segment,) = wal.segment_paths()
+            assert segment.stat().st_size == _frame_bytes(records[:3])
+            wal.rotate()
+            wal.append(records[3])
+        with WriteAheadLog(tmp_path, fsync=True) as wal:
+            wal.append(records[4])
+            assert [e.seq for e in wal.records()] == [1, 2, 3, 4, 5]
+            assert [e.to_record() for e in wal.records()] == records
+
+    def test_append_after_close_raises(self, tmp_path):
+        wal = WriteAheadLog(tmp_path)
+        wal.append(_record(0))
+        wal.close()
+        # The descriptor number may already belong to another file.
+        with open(tmp_path / "other", "wb"):
+            with pytest.raises(OSError):
+                wal.append(_record(1))
+        assert (tmp_path / "other").stat().st_size == 0
+        assert wal.last_seq == 1
+
+    def test_other_fallocate_errors_propagate(self, tmp_path, monkeypatch):
+        def full(descriptor, offset, length):
+            raise OSError(errno.ENOSPC, "no space left on device")
+
+        monkeypatch.setattr(os, "posix_fallocate", full)
+        with WriteAheadLog(tmp_path, fsync=True) as wal:
+            with pytest.raises(OSError) as raised:
+                wal.append(_record(0))
+            assert raised.value.errno == errno.ENOSPC
+            assert wal.last_seq == 0

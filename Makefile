@@ -1,10 +1,10 @@
 # Developer entry points. The test suite expects the src layout on the
 # import path; PYTHONPATH=src avoids requiring an editable install.
 #
-# The native kernels (src/repro/native/kernel.c and write.c) are compiled
-# with cffi and gcc on first import and cached in src/repro/native/_build/,
-# so the first `make test` (or any first run) builds them; `make native`
-# rebuilds them explicitly with warnings as errors.
+# The native kernels (src/repro/native/kernel.c, write.c and train.c) are
+# compiled with cffi and gcc on first import and cached in
+# src/repro/native/_build/, so the first `make test` (or any first run)
+# builds them; `make native` rebuilds them explicitly with warnings as errors.
 
 PYTHON ?= python
 PYTHONPATH := src

@@ -1,7 +1,7 @@
-"""The compiled C kernels: traversal, the write kernel and the routing hash.
+"""The compiled C kernels: traversal, writes, the routing hash, training.
 
-``kernel.c`` and ``write.c`` are compiled as one unit with cffi (API
-mode) and the system C compiler (gcc) on the first import in a fresh
+``kernel.c``, ``write.c`` and ``train.c`` are compiled as one unit with cffi
+(API mode) and the system C compiler (gcc) on the first import in a fresh
 checkout, and cached next to the sources in ``_build/`` (see
 :mod:`repro.native.build` for the cache key and the atomic install). A
 cache miss runs the build in a child process; a cache hit loads the
@@ -12,7 +12,8 @@ importing this package raises :class:`ImportError` saying so.
 
 Exports ``ffi`` and ``lib``; the traversal wrappers live in
 :mod:`repro.core.packed`, the write kernel's in :mod:`repro.core.writes`,
-the routing hash in :mod:`repro.sharding.partitioner`.
+the routing hash in :mod:`repro.sharding.partitioner`, and the level
+kernels of the frontier trainers in :mod:`repro.training.level_kernel`.
 """
 
 from __future__ import annotations

@@ -25,9 +25,9 @@ import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
-#: Compiled as one unit, in this order: ``write.c`` uses the status codes
-#: and markers ``kernel.c`` defines.
-SOURCES = (HERE / "kernel.c", HERE / "write.c")
+#: Compiled as one unit, in this order: ``write.c`` and ``train.c`` use the
+#: status codes and markers ``kernel.c`` defines.
+SOURCES = (HERE / "kernel.c", HERE / "write.c", HERE / "train.c")
 CACHE = HERE / "_build"
 
 #: Declarations cffi exposes to Python. API mode compiles its wrappers
@@ -100,6 +100,24 @@ typedef struct {
 int hc_write(hc_store *s, const int64_t *values, const int64_t *labels,
              int64_t n_records, int64_t n_features, int64_t sign,
              int64_t *report, int64_t *switched);
+typedef struct {
+    const void *const *codes;
+    const int64_t *width;
+    const int64_t *n_values;
+    int64_t n_features;
+    const uint8_t *labels;
+    int64_t n_positions;
+    const int64_t *starts;
+    int64_t n_slots;
+} hc_level;
+int hc_level_counts(const hc_level *lv, int64_t *const *counts,
+                    int64_t *node_counts);
+int hc_level_route(const hc_level *lv, const int64_t *feature,
+                   const int64_t *param, const uint8_t *numeric,
+                   const uint8_t *tables, int64_t tables_len,
+                   const int64_t *left_start, const int64_t *right_start,
+                   void *const *out_codes, uint8_t *out_labels, int64_t n_out,
+                   int64_t *dest);
 """
 
 #: Bit-identity with the numpy formulation needs IEEE double arithmetic

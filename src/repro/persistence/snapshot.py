@@ -376,10 +376,11 @@ def _read_archive(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
     truncated member) surfaces before any checksum can be computed, so it is
     mapped to :class:`SnapshotIntegrityError` -- corruption is corruption,
     whichever layer detects it first. A missing file stays a
-    :class:`FileNotFoundError`.
+    :class:`FileNotFoundError`. The file is opened here, not by ``np.load``,
+    so a container that fails to parse still has its descriptor closed.
     """
     try:
-        with np.load(path, allow_pickle=False) as archive:
+        with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as archive:
             meta = _load_meta(archive)
             arrays = {key: archive[key] for key in archive.files if key != "__meta__"}
     except (FileNotFoundError, IsADirectoryError, HedgeCutError):

@@ -7,8 +7,9 @@ column copies, and deep levels degenerate into tens of thousands of tiny
 numpy calls. This module grows *all growth points of one depth level at
 once*:
 
-1. **Histograms.** One composite-key ``bincount`` per feature yields the
-   full ``(node, label, code)`` count tensor for the level
+1. **Histograms.** One call of the native level kernel
+   (``native/train.c``) fills every feature's ``(node, label, code)``
+   count tensor for the level in one pass
    (:class:`~repro.training.histogram.LevelHistograms`). Candidate
    statistics -- numeric prefix sums, categorical subset sums -- become
    lookups; the up-to-``B`` candidate re-draws of Algorithm 3 re-read the
@@ -31,13 +32,14 @@ once*:
    sequential semantics exactly (later trials are independent draws, so
    evaluating them eagerly changes nothing but the wall-clock).
 3. **Partition routing.** The level state carries physically partitioned
-   per-level code/label/row arrays (the recursive builder's workspace
-   trick, applied level-wise): children of every plain split of a level
-   are routed with one vectorised stable partition -- a rank-and-scatter
-   over the level's permutation -- so the histograms of the next level
-   need no global gathers. Maintenance-node subtree variants append one
-   partition per variant over the same row multiset, which is exactly
-   the semantics of the recursive builder's repeated re-partitioning.
+   per-level code/label arrays (the recursive builder's workspace trick,
+   applied level-wise): one call of the native route kernel
+   (``native/train.c``) stable-partitions every plain split's segment and
+   scatters all columns and the labels, so the histograms of the next
+   level need no global gathers. Maintenance-node subtree variants append
+   one numpy partition per variant over the same row multiset, which is
+   exactly the semantics of the recursive builder's repeated
+   re-partitioning.
 
 The grown trees obey the same algorithm with the same hyperparameters and
 the same per-node verdict logic; they differ from the recursive builder's
@@ -71,6 +73,8 @@ from repro.core.tree import (
 )
 from repro.dataprep.dataset import Dataset
 from repro.training.histogram import LevelHistograms
+from repro.training.level_kernel import route_level
+from repro.vectorized.masks import bitmask_membership_vector
 
 #: ``maintenance_left`` sentinel for "unlimited" (``max_maintenance_depth
 #: is None``); decremented never, compares ``> 0`` always.
@@ -855,22 +859,13 @@ class FrontierTreeBuilder:
         if total == 0:
             return None
 
-        # One trailing dump position absorbs dropped rows (pruned-leaf
-        # children, segments routed elsewhere), so the scatter needs no
-        # compaction pass; the level state keeps the ``total``-sized views.
-        route_codes = [
-            np.empty(total + 1, dtype=level.codes[feature].dtype)
-            for feature in range(len(level.codes))
-        ]
-        route_labels = np.empty(total + 1, dtype=level.labels.dtype)
-        next_codes = [codes[:total] for codes in route_codes]
-        next_labels = route_labels[:total]
-
+        next_codes = [np.empty(total, dtype=codes.dtype) for codes in level.codes]
+        next_labels = np.empty(total, dtype=level.labels.dtype)
         if split_slots.size:
             self._route_plain_splits(
                 level, decisions, next_starts,
                 left_index, right_index,
-                route_codes, route_labels,
+                next_codes, next_labels,
             )
 
         cursor = int(next_starts[n_split_children])
@@ -913,79 +908,29 @@ class FrontierTreeBuilder:
         route_codes: list[np.ndarray],
         route_labels: np.ndarray,
     ) -> None:
-        """Stable-partition every plain split's segment in one scatter.
+        """Stable-partition every plain split's segment in one kernel call.
 
-        Per position of the level: a grouped (by feature) vectorised
-        ``goes_left`` test, a prefix-sum rank inside the segment, and one
-        destination index into the next level's arrays. Equivalent to the
-        per-node boolean-mask routing, without the per-node numpy calls.
-        Positions routed to a child that already became a leaf (its
-        ``left_index``/``right_index`` entry is -1) are dropped. All index
-        arithmetic runs in int32 (level sizes stay far below 2^31).
+        Children that already became leaves (their ``left_index`` or
+        ``right_index`` entry is -1) and non-split slots are not routed;
+        see :func:`~repro.training.level_kernel.route_level`. Wide
+        categorical masks travel as membership tables.
         """
-        starts = level.starts.astype(np.int32)
-        n_slots = level.n_slots
-        level_size = int(starts[-1])
-        slot_of_pos = np.repeat(
-            np.arange(n_slots, dtype=np.int32), np.diff(starts)
-        )
-        seg_start = starts[slot_of_pos]
-
-        is_split = decisions.kind == _KIND_SPLIT
-        feature_of_slot = np.where(
-            is_split, decisions.feature, -1
-        ).astype(np.int32)
-        # Start offset of each slot's kept children; -1 marks a dropped
-        # (already-leafed) child whose rows leave the level state.
-        next_starts32 = next_starts.astype(np.int32)
-        left_start = np.where(
-            left_index >= 0, next_starts32[left_index], np.int32(-1)
-        ).astype(np.int32)
-        right_start = np.where(
-            right_index >= 0, next_starts32[right_index], np.int32(-1)
-        ).astype(np.int32)
-
-        left = np.zeros(level_size, dtype=bool)
-        feature_of_pos = feature_of_slot[slot_of_pos]
-        for feature in np.unique(feature_of_slot[feature_of_slot >= 0]):
-            feature = int(feature)
-            sel = feature_of_pos == feature
-            codes_here = level.codes[feature][sel]
-            if self.numeric[feature]:
-                left[sel] = codes_here < decisions.param[slot_of_pos[sel]]
-            elif self.n_values[feature] <= 62:
-                masks = decisions.param[slot_of_pos[sel]]
-                left[sel] = (masks >> codes_here.astype(np.int64)) & 1
+        feature = np.where(decisions.kind == _KIND_SPLIT, decisions.feature, -1)
+        param = decisions.param.copy()
+        tables = [np.zeros(0, dtype=bool)]
         for slot, mask in decisions.wide_masks.items():
-            if not is_split[slot]:
-                continue
-            feature = int(decisions.feature[slot])
-            if self.n_values[feature] <= 62:
-                continue  # narrow masks already routed via the param array
-            member = np.asarray(
-                [(mask >> value) & 1 for value in range(self.n_values[feature])],
-                dtype=bool,
-            )
-            segment = slice(int(starts[slot]), int(starts[slot + 1]))
-            left[segment] = member[level.codes[feature][segment]]
-
-        exclusive = np.cumsum(left, dtype=np.int32)
-        exclusive -= left
-        rank_left = exclusive - exclusive[seg_start]
-        rank_right = np.arange(level_size, dtype=np.int32)
-        rank_right -= seg_start
-        rank_right -= rank_left
-        start_left = left_start[slot_of_pos]
-        start_right = right_start[slot_of_pos]
-        base = np.where(left, start_left, start_right)
-        # Dropped positions (non-split slots and pruned-leaf children both
-        # carry a -1 start offset) scatter to the dump position past the
-        # level's end instead of being compacted away.
-        dump = np.int32(route_labels.size - 1)
-        dest = np.where(base >= 0, base + np.where(left, rank_left, rank_right), dump)
-        for feature, codes in enumerate(level.codes):
-            route_codes[feature][dest] = codes
-        route_labels[dest] = level.labels
+            split_feature = int(feature[slot])
+            if split_feature < 0 or self.n_values[split_feature] <= 62:
+                continue  # not a plain split, or a narrow mask in ``param``
+            param[slot] = sum(table.size for table in tables)
+            tables.append(bitmask_membership_vector(mask, self.n_values[split_feature]))
+        route_level(
+            level.codes, level.labels, level.starts, self.n_values,
+            np.asarray(self.numeric), feature, param, np.concatenate(tables),
+            np.where(left_index >= 0, next_starts[left_index], -1),
+            np.where(right_index >= 0, next_starts[right_index], -1),
+            route_codes, route_labels,
+        )
 
     @staticmethod
     def _attach(

@@ -1,10 +1,10 @@
 """Per-level histogram store for the frontier trainers.
 
 The frontier trainers grow all nodes of one tree depth at a time. For a
-level holding ``n_slots`` growth points, :class:`LevelHistograms` computes,
-per feature, the full ``(node, label, code)`` count tensor with a single
-composite-key ``bincount`` pass
-(:func:`repro.vectorized.kernels.frontier_joint_histogram`). Everything
+level holding ``n_slots`` growth points, :class:`LevelHistograms` fills,
+per feature, the full ``(node, label, code)`` count tensor in one call of
+the native level kernel (``native/train.c``, wrapped by
+:func:`repro.training.level_kernel.count_level`). Everything
 any split candidate could ask about the level is then a lookup into those
 tensors:
 
@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.vectorized.kernels import frontier_joint_histogram
+from repro.training.level_kernel import count_level
 
 
 class LevelHistograms:
@@ -60,34 +60,21 @@ class LevelHistograms:
         self.n_features = len(codes)
         self.n_values = tuple(int(v) for v in n_values)
         self.codes = list(codes)
-        self.labels = labels
         self.rows = rows
         self.starts = starts
 
-        counts = np.diff(starts)
-        slots = np.repeat(np.arange(self.n_slots, dtype=np.int32), counts)
-        #: ``slot * 2 + label`` per position: the feature-independent part
-        #: of every composite histogram key, computed once per level.
-        self.label_slots = slots * np.int32(2)
-        self.label_slots += labels.astype(np.int32, copy=False)
-
-        node_hist = np.bincount(
-            self.label_slots, minlength=self.n_slots * 2
-        ).reshape(self.n_slots, 2)
+        hists = [np.empty((self.n_slots, 2, v), dtype=np.int64) for v in self.n_values]
+        node_hist = np.empty((self.n_slots, 2), dtype=np.int64)
+        count_level(
+            self.codes, np.ascontiguousarray(labels, dtype=np.uint8), starts,
+            self.n_values, hists, node_hist,
+        )
         self.node_n = node_hist.sum(axis=1)
         self.node_plus = node_hist[:, 1]
-
         #: Per-feature ``(n_slots, n_values)`` total counts.
-        self.totals: list[np.ndarray] = []
+        self.totals = [hist.sum(axis=1) for hist in hists]
         #: Per-feature ``(n_slots, n_values)`` positive counts.
-        self.positives: list[np.ndarray] = []
-        for feature in range(self.n_features):
-            hist = frontier_joint_histogram(
-                self.label_slots, self.codes[feature], self.n_slots,
-                self.n_values[feature],
-            )
-            self.totals.append(hist.sum(axis=1))
-            self.positives.append(hist[:, 1, :])
+        self.positives = [hist[:, 1, :] for hist in hists]
 
         self._cum_totals: list[np.ndarray | None] = [None] * self.n_features
         self._cum_positives: list[np.ndarray | None] = [None] * self.n_features

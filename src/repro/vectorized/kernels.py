@@ -212,85 +212,6 @@ def categorical_counts_mlpack(
     return SplitCounts(n, n_plus, n_left, n_left_plus)
 
 
-# --------------------------------------------------------------------- #
-# frontier histograms: whole-level counts via composite-key bincount
-# --------------------------------------------------------------------- #
-
-
-def frontier_histogram(
-    slots: np.ndarray,
-    codes: np.ndarray,
-    labels: np.ndarray,
-    n_slots: int,
-    n_values: int,
-) -> np.ndarray:
-    """``(node, code, label)`` count tensor for one feature over a level.
-
-    This is the histogram kernel of the level-synchronous frontier trainer
-    (LightGBM-style): instead of one scan per (node, candidate), a single
-    ``bincount`` over the composite key ``(slot * n_values + code) * 2 +
-    label`` yields every count any candidate split of this feature could
-    need, for every frontier node at once. Candidate evaluation then reads
-    the tiny per-node histogram rows instead of re-scanning records.
-
-    Args:
-        slots: dense frontier-slot index per record position, in
-            ``[0, n_slots)``.
-        codes: feature code per record position.
-        labels: 0/1 label per record position.
-        n_slots: number of frontier nodes in the level.
-        n_values: global code domain size of the feature.
-
-    Returns:
-        int64 tensor of shape ``(n_slots, n_values, 2)``; ``[..., 0]``
-        counts negatives, ``[..., 1]`` positives.
-    """
-    key = (slots.astype(np.int64) * n_values + codes.astype(np.int64)) * 2
-    key += labels.astype(np.int64)
-    flat = np.bincount(key, minlength=n_slots * n_values * 2)
-    return flat.reshape(n_slots, n_values, 2)
-
-
-def frontier_joint_histogram(
-    label_slots: np.ndarray,
-    codes: np.ndarray,
-    n_slots: int,
-    n_values: int,
-) -> np.ndarray:
-    """``(node, label, code)`` count tensor for one feature over a level.
-
-    Faster layout of :func:`frontier_histogram` for the frontier trainer's
-    hot path: the caller precomputes ``label_slots = slot * 2 + label``
-    *once per level* (it is feature-independent), so the per-feature work
-    shrinks to one fused multiply-add over int32 keys plus the
-    ``bincount``. int32 keys halve the arithmetic traffic of the int64
-    path; level sizes and code domains keep ``2 * n_slots * n_values``
-    far below the int32 range.
-
-    Returns:
-        int64 tensor of shape ``(n_slots, 2, n_values)``; ``[:, 0]``
-        counts negatives, ``[:, 1]`` positives.
-    """
-    n_bins = n_slots * 2 * n_values
-    if n_bins < np.iinfo(np.int32).max:
-        key = label_slots * np.int32(n_values)
-        key += codes
-    else:
-        key = label_slots.astype(np.int64) * n_values
-        key += codes
-    flat = np.bincount(key, minlength=n_bins)
-    return flat.reshape(n_slots, 2, n_values)
-
-
-def frontier_label_counts(
-    slots: np.ndarray, labels: np.ndarray, n_slots: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frontier-node ``(n, n_plus)`` via one composite-key bincount."""
-    key = slots.astype(np.int64) * 2 + labels.astype(np.int64)
-    flat = np.bincount(key, minlength=n_slots * 2).reshape(n_slots, 2)
-    return flat.sum(axis=1), flat[:, 1]
-
-
 #: Kernel registries used by the 6.4.2 micro-benchmark and the equivalence
 #: property tests.
 NUMERIC_KERNELS = {

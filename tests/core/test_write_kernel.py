@@ -280,8 +280,9 @@ def test_store_arrays_must_be_contiguous_and_typed():
 
 
 def test_write_source_is_part_of_the_cache_key(monkeypatch, tmp_path):
+    """Editing write.c, or the trainers' train.c, changes the module name."""
     names = [source.name for source in native_build.SOURCES]
-    assert names == ["kernel.c", "write.c"]
+    assert names == ["kernel.c", "write.c", "train.c"]
     key = native_build.module_name()
     copies = []
     for source in native_build.SOURCES:
@@ -290,5 +291,9 @@ def test_write_source_is_part_of_the_cache_key(monkeypatch, tmp_path):
         copies.append(copy_)
     monkeypatch.setattr(native_build, "SOURCES", tuple(copies))
     assert native_build.module_name() == key
-    copies[1].write_text(copies[1].read_text() + "\n/* edited */\n")
-    assert native_build.module_name() != key
+    for edited in copies[1:]:
+        original = edited.read_text()
+        edited.write_text(original + "\n/* edited */\n")
+        assert native_build.module_name() != key
+        edited.write_text(original)
+        assert native_build.module_name() == key

@@ -1,6 +1,10 @@
 """Tests for run statistics, timers and the KS helper."""
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +53,31 @@ class TestSameDistribution:
         second = rng.normal(size=200)
         same, _ = same_distribution(first, second)
         assert same
+
+    def test_serving_imports_leave_scipy_unloaded(self):
+        """scipy loads only when a KS test runs, with unchanged p-values."""
+        from scipy import stats as scipy_stats
+
+        script = (
+            "import sys, numpy as np\n"
+            "import repro.core, repro.serving, repro.sharding, repro.persistence.store\n"
+            "print('scipy' in sys.modules)\n"
+            "from repro.evaluation.stats import same_distribution\n"
+            "rng = np.random.default_rng(3)\n"
+            "print(repr(same_distribution(rng.normal(size=150), rng.normal(0.3, size=150))[1]))\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+        completed = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=env, check=True, timeout=120,
+        )
+        loaded, p_value = completed.stdout.split()
+        assert loaded == "False"
+        rng = np.random.default_rng(3)
+        expected = scipy_stats.ks_2samp(rng.normal(size=150), rng.normal(0.3, size=150))
+        assert float(p_value) == float(expected.pvalue)
 
 
 class TestTimer:

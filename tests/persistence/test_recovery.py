@@ -9,6 +9,10 @@ statistics and active-variant switches.
 """
 
 import copy
+import gc
+import os
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +127,34 @@ class TestCrashRecovery:
             recovered.model.predict_batch(dataset),
             uninterrupted.predict_batch(dataset),
         )
+
+    def test_skipped_corrupt_snapshot_closes_its_file(
+        self, tmp_path, noisy_setup, monkeypatch
+    ):
+        """A snapshot whose zip container fails to parse is skipped without
+        leaving its descriptor for the garbage collector to close."""
+        model, dataset = noisy_setup
+        store_dir = tmp_path / "store"
+        _crash_after_k_deletions(store_dir, model, dataset, k=3, snapshot_at=2)
+        latest = ModelStore(store_dir).snapshot_paths()[-1]
+        latest.write_bytes(latest.read_bytes()[:-40] + b"\x00" * 40)
+
+        # A leaked file's ResourceWarning is raised in its finaliser, which
+        # reports it through sys.unraisablehook rather than to the caller.
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        store = ModelStore(store_dir)
+        gc.collect()
+        before = len(os.listdir("/proc/self/fd"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            recovered = store.recover()
+            gc.collect()
+        after = len(os.listdir("/proc/self/fd"))
+        store.close()
+        assert recovered.skipped_snapshots == [latest]
+        assert after == before
+        assert unraisable == []
 
     def test_empty_store_raises(self, tmp_path):
         with pytest.raises(HedgeCutError):

@@ -11,7 +11,7 @@ PYTHONPATH := src
 
 export PYTHONPATH
 
-.PHONY: native test test-all bench-smoke bench-sharding bench-serving lint
+.PHONY: native test test-all test-leaks bench-smoke bench-sharding bench-serving lint
 
 ## Rebuild the native kernels into their cache with -Wall -Wextra -Werror.
 native:
@@ -26,6 +26,10 @@ test:
 ## Run everything, including the slow full-registry equivalence matrix.
 test-all:
 	$(PYTHON) -m pytest tests/ -q -m "slow or not slow"
+
+## Persistence tests with every unclosed file or WAL descriptor as an error.
+test-leaks:
+	$(PYTHON) -X dev -m pytest tests/persistence -W error::ResourceWarning -W error::pytest.PytestUnraisableExceptionWarning
 
 ## One fast pass over every paper benchmark; formatted tables land in
 ## benchmarks/results.txt.

@@ -11,9 +11,7 @@ retrain-and-redeploy pipeline (Figure 1).
 from __future__ import annotations
 
 import os
-import pickle
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -112,13 +110,10 @@ class HedgeCutClassifier:
         min_leaf_size: ``n_min`` (paper default 2).
         n_candidates: split candidates per node; ``None`` means
             ``sqrt(n_features)``.
-        robustness_mode: "greedy" / "verified" / "off", see
+        robustness_mode: "greedy" / "beam" / "verified" / "off", see
             :class:`HedgeCutParams`.
         max_maintenance_depth: cap on nested maintenance nodes per path,
             see :class:`HedgeCutParams`.
-        topd: number of random, statistics-frozen top levels per tree
-            (DaRE-style), see :class:`HedgeCutParams`. ``0`` (default)
-            disables the knob.
         seed: ensemble random seed.
 
     Example::
@@ -138,7 +133,6 @@ class HedgeCutClassifier:
         n_candidates: int | None = None,
         robustness_mode: str = "greedy",
         max_maintenance_depth: int | None = 1,
-        topd: int = 0,
         n_jobs: int = 1,
         seed: int | None = None,
     ) -> None:
@@ -150,7 +144,6 @@ class HedgeCutClassifier:
             n_candidates=n_candidates,
             robustness_mode=robustness_mode,
             max_maintenance_depth=max_maintenance_depth,
-            topd=topd,
             n_jobs=n_jobs,
             seed=seed,
         )
@@ -574,7 +567,6 @@ class HedgeCutClassifier:
             n_candidates=params.n_candidates,
             robustness_mode=params.robustness_mode,
             max_maintenance_depth=params.max_maintenance_depth,
-            topd=params.topd,
             n_jobs=params.n_jobs,
             seed=params.seed,
         )
@@ -585,34 +577,6 @@ class HedgeCutClassifier:
         model._n_unlearned = n_unlearned
         model._n_trained_on = n_trained_on
         return model
-
-    def save(self, path: str | Path) -> None:
-        """Serialise the fitted model (including its unlearning state)."""
-        self._require_fitted()
-        state = {
-            "params": self.params,
-            "trees": self._trees,
-            "schema": self._schema,
-            "deletion_budget": self._deletion_budget,
-            "n_unlearned": self._n_unlearned,
-            "n_trained_on": self._n_trained_on,
-        }
-        with open(path, "wb") as sink:
-            pickle.dump(state, sink)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "HedgeCutClassifier":
-        """Restore a model saved with :meth:`save`."""
-        with open(path, "rb") as source:
-            state = pickle.load(source)
-        return cls.from_state(
-            params=state["params"],
-            trees=state["trees"],
-            schema=state["schema"],
-            deletion_budget=state["deletion_budget"],
-            n_unlearned=state["n_unlearned"],
-            n_trained_on=state["n_trained_on"],
-        )
 
 
 def _learn_one_in_tree(root, record: Record) -> UnlearningReport:
@@ -634,13 +598,8 @@ def _learn_one_in_tree(root, record: Record) -> UnlearningReport:
             report.leaves_updated += 1
         elif isinstance(node, SplitNode):
             goes_left = node.split.goes_left_value(record.values[node.split.feature])
-            if node.random:
-                # Random top-d splits keep their training-time statistics
-                # frozen, symmetric with unlearning's skip.
-                report.random_nodes_visited += 1
-            else:
-                _insert_into_stats(node.stats, record, goes_left)
-                report.robust_nodes_visited += 1
+            _insert_into_stats(node.stats, record, goes_left)
+            report.robust_nodes_visited += 1
             stack.append(node.left if goes_left else node.right)
         elif isinstance(node, MaintenanceNode):
             for variant in node.variants:

@@ -66,26 +66,17 @@ class Leaf:
 class SplitNode:
     """A split whose decision is fixed for the lifetime of the deployment.
 
-    Two flavours share this type:
-
-    * robust splits (``random=False``, the default) -- certified by the
-      robustness analysis that no removal within the deletion budget can
-      change the decision; their statistics are maintained by unlearning.
-    * random top-``d`` splits (``random=True``, DaRE-style) -- drawn
-      uniformly without gain scoring when ``HedgeCutParams.topd > 0``.
-      Their decision is fixed *by construction*, not by certification, so
-      unlearning routes through them without validating or decrementing
-      their (training-time, frozen) statistics.
-
-    ``random`` defaults to ``False`` at class level, so pickles and
-    snapshots written before the flag existed load as robust splits.
+    The robustness analysis certified that no removal within the deletion
+    budget can change the decision (or the split was accepted unchecked:
+    ``robustness_mode="off"``, or the maintenance-depth cap was spent).
+    Unlearning and insertion validate and update its statistics and route
+    through it; they never re-score it.
     """
 
     split: Split
     stats: SplitStats
     left: "TreeNode"
     right: "TreeNode"
-    random: bool = False
 
     def child_for_value(self, value: int) -> "TreeNode":
         return self.left if self.split.goes_left_value(value) else self.right

@@ -62,17 +62,6 @@ class HedgeCutParams:
             tree for a whole ``ε``-sized unlearning campaign (Figure 6(b)),
             which nested variants contribute almost nothing to. ``None``
             removes the cap (paper-literal behaviour).
-        topd: number of *random* top levels per tree (DaRE-style, Brophy &
-            Lowd ICML 2021). Nodes at depth ``< topd`` are grown as random,
-            statistics-frozen splits: the split is drawn uniformly (random
-            non-constant feature, random cut/subset) without gain scoring
-            or robustness analysis, carries no maintenance variants, and is
-            *skipped entirely* by unlearning -- no validation, no count
-            decrements, no re-scoring. This shrinks the per-deletion
-            maintenance surface (the deeper, smaller statistical subtrees
-            absorb all the write traffic) at a small accuracy cost from the
-            unscored upper splits. ``0`` (default) disables the feature and
-            is bit-identical to models trained before the knob existed.
         n_jobs: worker processes for tree building. Trees are completely
             independent (Section 5: "embarrassingly parallel"; the paper
             uses rayon's work stealing); ``n_jobs > 1`` builds them in a
@@ -90,7 +79,6 @@ class HedgeCutParams:
     n_candidates: int | None = None
     robustness_mode: str = "greedy"
     max_maintenance_depth: int | None = 1
-    topd: int = 0
     n_jobs: int = 1
     seed: int | None = None
 
@@ -117,8 +105,6 @@ class HedgeCutParams:
                 f"max_maintenance_depth must be >= 0 or None, "
                 f"got {self.max_maintenance_depth}"
             )
-        if self.topd < 0:
-            raise ValueError(f"topd must be >= 0, got {self.topd}")
         if self.n_jobs < 1:
             raise ValueError(f"n_jobs must be >= 1, got {self.n_jobs}")
 

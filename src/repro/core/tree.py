@@ -84,7 +84,6 @@ class BuildCounters:
     leaves: int = 0
     max_depth: int = 0
     variants_grown: int = 0
-    random_splits: int = 0
 
 
 @dataclass
@@ -240,15 +239,6 @@ class TreeBuilder:
         if not non_constant:
             return self._leaf(n, n_plus)
 
-        if depth < self.params.topd:
-            node = self._random_topd_node(
-                lo, hi, labels, non_constant, known_constant, depth, maintenance_left
-            )
-            if node is not None:
-                return node
-            # No valid random draw after B tries: fall through to the
-            # statistical path so the node is never silently truncated.
-
         node_budget = min(self.budget, n - self.params.min_leaf_size)
         check_robustness = (
             self.params.robustness_mode != "off"
@@ -304,51 +294,6 @@ class TreeBuilder:
             depth,
             maintenance_left,
         )
-
-    def _random_topd_node(
-        self,
-        lo: int,
-        hi: int,
-        labels: np.ndarray,
-        non_constant: list[int],
-        known_constant: frozenset[int],
-        depth: int,
-        maintenance_left: int | None,
-    ) -> SplitNode | None:
-        """DaRE-style random top-``d`` split: one uniform draw, no scoring.
-
-        A random non-constant feature gets a random global-proposal split;
-        draws that do not separate the local data are retried up to ``B``
-        times. The winning split keeps its (frozen) training-time
-        statistics for introspection and snapshots but is marked
-        ``random``, so unlearning and incremental learning never validate,
-        decrement, or re-score it, and it carries no maintenance variants.
-        Children recurse with the *same* maintenance allowance -- random
-        levels do not consume the maintenance-depth budget.
-        """
-        for _ in range(self.params.max_tries_per_split):
-            feature = int(self.rng.choice(np.asarray(non_constant, dtype=np.int64)))
-            split = _random_split(feature, self.dataset, self.rng)
-            if split is None:
-                continue
-            codes = self.workspace.codes(feature, lo, hi)
-            stats = split.count(codes, labels)
-            if not stats.splits_data:
-                continue
-            self.counters.random_splits += 1
-            mid = self._partition(lo, hi, split)
-            return SplitNode(
-                split=split,
-                stats=stats,
-                left=self._build_node(
-                    lo, mid, known_constant, depth + 1, maintenance_left
-                ),
-                right=self._build_node(
-                    mid, hi, known_constant, depth + 1, maintenance_left
-                ),
-                random=True,
-            )
-        return None
 
     def _judge_best(
         self,

@@ -1,8 +1,9 @@
 """Unlearning a training record from a tree (Section 4.5, Algorithm 4).
 
 The traversal mirrors prediction: the record walks down each tree. Leaves
-decrement their label counts; robust split nodes route the record onward
-(their decision is certified not to change); maintenance nodes propagate the
+decrement their label counts; robust split nodes decrement their split
+statistics and route the record onward (their decision is certified not to
+change); maintenance nodes propagate the
 removal into *every* subtree variant, update every variant's split
 statistics, and re-score -- possibly switching the active variant, which is
 exactly the case where a retrained model would have chosen a different
@@ -47,22 +48,18 @@ class UnlearningReport:
             updated.
         variant_switches: maintenance nodes whose active variant changed
             (the *split switches* of Figure 6(b)).
-        random_nodes_visited: random top-``d`` splits routed through
-            without any statistic update (always 0 when ``topd == 0``).
     """
 
     leaves_updated: int = 0
     robust_nodes_visited: int = 0
     maintenance_nodes_visited: int = 0
     variant_switches: int = 0
-    random_nodes_visited: int = 0
 
     def merge(self, other: "UnlearningReport") -> None:
         self.leaves_updated += other.leaves_updated
         self.robust_nodes_visited += other.robust_nodes_visited
         self.maintenance_nodes_visited += other.maintenance_nodes_visited
         self.variant_switches += other.variant_switches
-        self.random_nodes_visited += other.random_nodes_visited
 
 
 @dataclass
@@ -81,7 +78,6 @@ class UnlearnPlan:
     stats: list[tuple[SplitStats, bool]] = field(default_factory=list)
     rescores: list[MaintenanceNode] = field(default_factory=list)
     robust_nodes_visited: int = 0
-    random_nodes_visited: int = 0
 
 
 def plan_unlearn(root: TreeNode, record: Record) -> UnlearnPlan:
@@ -105,12 +101,6 @@ def plan_unlearn(root: TreeNode, record: Record) -> UnlearnPlan:
             plan.leaves.append(node)
         elif isinstance(node, SplitNode):
             goes_left = node.split.goes_left_value(record.values[node.split.feature])
-            if node.random:
-                # Random top-d splits are statistics-frozen: route through
-                # without validating or scheduling any decrement.
-                plan.random_nodes_visited += 1
-                stack.append(node.left if goes_left else node.right)
-                continue
             plan.robust_nodes_visited += 1
             if not node.stats.can_remove(plan.positive, goes_left):
                 raise UnlearningError(
@@ -148,7 +138,6 @@ def apply_unlearn(plan: UnlearnPlan, leaf_sink: LeafSink | None = None) -> Unlea
         leaves_updated=len(plan.leaves),
         robust_nodes_visited=plan.robust_nodes_visited,
         maintenance_nodes_visited=len(plan.rescores),
-        random_nodes_visited=plan.random_nodes_visited,
     )
     positive = plan.positive
     for leaf in plan.leaves:

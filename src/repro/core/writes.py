@@ -1,9 +1,9 @@
 """The native write path: one count store and one C routine for every write.
 
-:class:`UnlearnPack` flattens every node of every tree -- robust and
-random splits, leaves and *all* maintenance variants -- into the slot
-layout the C write kernel walks (``src/repro/native/write.c``), and holds
-the model's one store of mutable state:
+:class:`UnlearnPack` flattens every node of every tree -- splits, leaves
+and *all* maintenance variants -- into the slot layout the C write kernel
+walks (``src/repro/native/write.c``), and holds the model's one store of
+mutable state:
 
 * ``stats``  -- ``(n, n_plus, n_left, n_left_plus)`` of every tracked split;
 * ``leaves`` -- ``(n, n_plus)`` of every leaf;
@@ -36,7 +36,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from repro.core.exceptions import UnlearningError
-from repro.core.nodes import Leaf, MaintenanceNode, SplitNode, SubtreeVariant, TreeNode
+from repro.core.nodes import Leaf, MaintenanceNode, SubtreeVariant, TreeNode
 from repro.core.packed import LEAF_MARKER, TornTraversalError, route_table
 from repro.core.splits import SplitStats
 from repro.core.unlearning import UnlearningReport
@@ -179,8 +179,9 @@ class UnlearnPack:
     active variant, this pack keeps every variant reachable: a maintenance
     node is a ``FAN_MARKER`` slot whose payload indexes the CSR fan list
     (``fan_ptr``/``fan_slots``) of its variants' split slots; ``gains``
-    is indexed like ``fan_slots``. ``leaf_read_row`` maps a store leaf to
-    its row in the read pack's leaf arrays (``read_leaf_n`` /
+    is indexed like ``fan_slots``. ``stats_row`` is a split slot's row in
+    ``stats`` and -1 on leaf and fan slots. ``leaf_read_row`` maps a store
+    leaf to its row in the read pack's leaf arrays (``read_leaf_n`` /
     ``read_leaf_n_plus``), or -1 while its variant is inactive; the read
     pack updates it on every splice.
 
@@ -250,7 +251,7 @@ class UnlearnPack:
         )
         c.scratch_len = n_slots + 1
         self._store = c
-        self._report = ffi.new("int64_t[7]")
+        self._report = ffi.new("int64_t[6]")
         self._switched = ffi.new("int64_t[]", max(1, n_mnodes))
 
     _DTYPES = {"int64_t[]": np.int64, "double[]": np.float64, "uint8_t[]": np.bool_}
@@ -325,7 +326,7 @@ class UnlearnPack:
                     variants += node.variants
                     fan_ptr.append(len(fan_slots))
                     continue
-                # A robust or random split, or a variant's root split.
+                # A split, or a variant's root split.
                 split = node.split
                 feature.append(split.feature)
                 payload.append(len(splits) * width)
@@ -333,13 +334,10 @@ class UnlearnPack:
                 right.append(len(queue) + 1)
                 queue.append(node.left)
                 queue.append(node.right)
-                if isinstance(node, SplitNode) and node.random:
-                    stats_row.append(-1)
-                else:
-                    stats = node.stats
-                    stats_row.append(len(stats_objects))
-                    stats_objects.append(stats)
-                    counts += (stats.n, stats.n_plus, stats.n_left, stats.n_left_plus)
+                stats = node.stats
+                stats_row.append(len(stats_objects))
+                stats_objects.append(stats)
+                counts += (stats.n, stats.n_plus, stats.n_left, stats.n_left_plus)
 
         # The store is gathered from the objects before they are bound.
         pack = cls(
@@ -391,15 +389,12 @@ class UnlearnPack:
             if status == lib.HC_TORN:
                 raise TornTraversalError("write walk exceeded the slot budget")
             raise IndexError("write walk read an index outside its array")
-        leaves, robust, visited, switches, random, n_switched, _ = ffi.unpack(
-            self._report, 7
-        )
+        leaves, robust, visited, switches, n_switched, _ = ffi.unpack(self._report, 6)
         report = UnlearningReport(
             leaves_updated=leaves,
             robust_nodes_visited=robust,
             maintenance_nodes_visited=visited,
             variant_switches=switches,
-            random_nodes_visited=random,
         )
         # A pack built from bare arrays has no node objects to splice.
         if not n_switched or not self.mnodes:

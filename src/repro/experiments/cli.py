@@ -135,7 +135,6 @@ def _run_sharded_snapshot(config: ExperimentConfig, store_path: str) -> str:
         n_trees=config.n_trees,
         epsilon=config.epsilon,
         max_tries_per_split=config.max_tries_per_split,
-        topd=config.topd,
         seed=config.seed,
     ).fit(dataset)
     with ShardedModelStore(store_path, n_shards=config.shards) as store:
@@ -191,7 +190,6 @@ def _run_snapshot(config: ExperimentConfig, store_path: str) -> str:
         n_trees=config.n_trees,
         epsilon=config.epsilon,
         max_tries_per_split=config.max_tries_per_split,
-        topd=config.topd,
         seed=config.seed,
     ).fit(dataset)
     with ModelStore(store_path) as store:
@@ -267,7 +265,6 @@ def _run_serve(config: ExperimentConfig, args) -> str:
         n_trees=config.n_trees,
         epsilon=config.epsilon,
         max_tries_per_split=config.max_tries_per_split,
-        topd=config.topd,
         seed=config.seed,
     ).fit(dataset)
     unlearn_pool = [dataset.record(row) for row in range(args.requests)]
@@ -369,14 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="subset of datasets (default: all five)",
     )
     parser.add_argument(
-        "--topd",
-        type=int,
-        default=0,
-        help="DaRE-style random top layers: levels shallower than topd are "
-        "grown as statistics-free random splits that deletions skip "
-        "(0 = fully statistical trees, the paper's setting)",
-    )
-    parser.add_argument(
         "--store",
         default="hedgecut-store",
         help="model-store directory for the snapshot/recover commands",
@@ -438,7 +427,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         seed=args.seed,
         datasets=tuple(args.datasets) if args.datasets else available_datasets(),
         shards=args.shards,
-        topd=args.topd,
     )
     if args.experiment in COMMANDS:
         print(f"== {args.experiment} ==", flush=True)

@@ -30,10 +30,6 @@ class ExperimentConfig:
             the unsharded model, larger values train a
             :class:`~repro.sharding.model.ShardedHedgeCut` (``n_trees``
             must divide evenly across the shards).
-        topd: DaRE-style random-top-layer count. Levels shallower than
-            ``topd`` are grown as statistics-free random splits that
-            deletions skip entirely; ``0`` (the default) keeps every level
-            statistical, exactly reproducing the paper's trees.
     """
 
     scale: float = 0.02
@@ -44,7 +40,6 @@ class ExperimentConfig:
     epsilon: float = 0.001
     max_tries_per_split: int = 5
     shards: int = 1
-    topd: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.scale <= 1.0:
@@ -63,8 +58,6 @@ class ExperimentConfig:
                 f"n_trees ({self.n_trees}) must be divisible by shards "
                 f"({self.shards})"
             )
-        if self.topd < 0:
-            raise ValueError(f"topd must be >= 0, got {self.topd}")
 
     def rows_for(self, dataset_name: str) -> int:
         """Scaled row count of one dataset, bounded below by ``MIN_ROWS``."""

@@ -9,8 +9,8 @@
  *   payload[slot]    route-table offset of a split, store row of a leaf,
  *                    maintenance-node id of a fan;
  *   right[slot]      right child of a split; the left child sits at right - 1;
- *   stats_row[slot]  store row of a split's counts, -1 for a random top-d
- *                    split (routing only);
+ *   stats_row[slot]  store row of a split's counts (-1 on leaf and fan
+ *                    slots, where the kernel never reads it);
  *   fan_ptr/fan_slots  CSR list of every variant's split slot per fan.
  *
  * The counts live in the store arrays (stats: n, n_plus, n_left,
@@ -50,9 +50,8 @@
 #define HC_R_ROBUST 1
 #define HC_R_MNODES 2
 #define HC_R_SWITCHES 3
-#define HC_R_RANDOM 4
-#define HC_R_SWITCHED 5
-#define HC_R_FAILED 6
+#define HC_R_SWITCHED 4
+#define HC_R_FAILED 5
 
 typedef struct {
     const int64_t *feature;
@@ -166,7 +165,9 @@ static int hc_removable(const int64_t *st, int positive, int left)
 }
 
 /* Visit one split: route, validate (when asked), update and log it.
- * ``variant`` marks a variant's root split, which must carry statistics. */
+ * ``variant`` marks a variant's root split. Every split carries
+ * statistics, so a stats row outside the store is HC_RANGE, returned
+ * before this split is written. */
 static int hc_split(hc_store *s, int64_t slot, const int64_t *row,
                     int64_t n_features, int positive, int64_t sign,
                     int validate, int variant, int64_t *report, int64_t *n_log,
@@ -179,13 +180,7 @@ static int hc_split(hc_store *s, int64_t slot, const int64_t *row,
     if (status != HC_OK)
         return status;
     stats_row = s->stats_row[slot];
-    if (stats_row < 0) {
-        if (variant)
-            return HC_RANGE;
-        report[HC_R_RANDOM] += 1;
-        return HC_OK;
-    }
-    if (stats_row >= s->n_stats)
+    if (stats_row < 0 || stats_row >= s->n_stats)
         return HC_RANGE;
     if (!variant)
         report[HC_R_ROBUST] += 1;

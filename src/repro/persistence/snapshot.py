@@ -10,9 +10,8 @@ Design points:
 
 * **Compact and pickle-free.** Arrays are stored via
   :func:`numpy.savez_compressed` and loaded with ``allow_pickle=False``, so
-  a snapshot can never execute code on load (unlike ``pickle``-based
-  ``HedgeCutClassifier.save``). Leaf and split statistics are plain int64
-  columns; gains are float64 and round-trip bit-for-bit.
+  a snapshot can never execute code on load. Leaf and split statistics
+  are plain int64 columns; gains are float64 and round-trip bit-for-bit.
 * **Format versioning.** Every snapshot records ``(format, format_version)``;
   loading rejects unknown formats and future versions with
   :class:`SnapshotFormatError` instead of mis-decoding.
@@ -75,14 +74,13 @@ _PAYLOAD_OVERFLOW = -1
 _INT63_LIMIT = 1 << 62
 
 #: Params keys that older snapshots store but that no longer configure
-#: anything: ``trainer`` recorded how the trees were grown, not what they
-#: are, so a decoded snapshot is the same model without it.
-_RETIRED_PARAMS = frozenset({"trainer"})
-
-#: Params keys that may be absent and then load with the field's default.
-#: Snapshots written before ``topd`` existed have neither the key nor a
-#: ``node_random`` column, and ``topd=0`` is exactly their trees.
-_OPTIONAL_PARAMS = frozenset({"topd"})
+#: anything, each with the one value this build can decode (``None``: any).
+#: ``trainer`` recorded how the trees were grown, not what they are.
+#: ``topd`` grew random, statistics-frozen top levels (DaRE-style); a
+#: snapshot that has them, in its params, its ``node_random`` column or a
+#: tree's ``random_splits`` counter, is refused rather than decoded as
+#: plain splits. ``topd=0`` is exactly the trees this build grows.
+_RETIRED_PARAMS = {"trainer": None, "topd": 0}
 
 
 class SnapshotFormatError(HedgeCutError):
@@ -126,7 +124,6 @@ class _Encoder:
         self.c: list[int] = []
         self.d: list[int] = []
         self.is_cat: list[bool] = []
-        self.random: list[bool] = []
         self.s_n: list[int] = []
         self.s_plus: list[int] = []
         self.s_left: list[int] = []
@@ -152,7 +149,6 @@ class _Encoder:
         self.c.append(0)
         self.d.append(0)
         self.is_cat.append(False)
-        self.random.append(False)
         self.s_n.append(0)
         self.s_plus.append(0)
         self.s_left.append(0)
@@ -201,7 +197,6 @@ class _Encoder:
                 self.a[slot] = node.split.feature
                 self.b[slot] = payload
                 self.is_cat[slot] = is_cat
-                self.random[slot] = node.random
                 self.s_n[slot] = node.stats.n
                 self.s_plus[slot] = node.stats.n_plus
                 self.s_left[slot] = node.stats.n_left
@@ -247,10 +242,6 @@ class _Encoder:
             "node_c": np.asarray(self.c, dtype=np.int64),
             "node_d": np.asarray(self.d, dtype=np.int64),
             "node_is_cat": np.asarray(self.is_cat, dtype=np.bool_),
-            # Added with the topd knob; absent in older snapshots, whose
-            # loader treats every split as non-random (same version, no bump:
-            # the column is optional on read and covered by the checksum).
-            "node_random": np.asarray(self.random, dtype=np.bool_),
             "node_stat_n": np.asarray(self.s_n, dtype=np.int64),
             "node_stat_plus": np.asarray(self.s_plus, dtype=np.int64),
             "node_stat_left": np.asarray(self.s_left, dtype=np.int64),
@@ -423,10 +414,16 @@ def _split_decoder(schema: tuple[FeatureSchema, ...]):
 
 def _params_from_meta(stored: dict) -> HedgeCutParams:
     """Rebuild the hyperparameters, rejecting keys this build cannot honour."""
+    for key, decodable in _RETIRED_PARAMS.items():
+        if decodable is not None and stored.get(key, decodable) != decodable:
+            raise SnapshotFormatError(
+                f"snapshot params carry {key}={stored[key]!r}; this build "
+                f"decodes only {key}={decodable!r}"
+            )
     stored = {key: value for key, value in stored.items() if key not in _RETIRED_PARAMS}
     known = {field.name for field in fields(HedgeCutParams)}
     unknown = sorted(set(stored) - known)
-    missing = sorted(known - set(stored) - _OPTIONAL_PARAMS)
+    missing = sorted(known - set(stored))
     if unknown or missing:
         raise SnapshotFormatError(
             f"snapshot params do not match this build "
@@ -464,6 +461,15 @@ def _load_snapshot(path: Path) -> tuple[HedgeCutClassifier, SnapshotInfo]:
         for entry in meta["schema"]
     )
     params = _params_from_meta(meta["params"])
+    counters = []
+    for entry in meta["tree_counters"]:
+        entry = dict(entry)
+        if entry.pop("random_splits", 0):
+            raise SnapshotFormatError(
+                "snapshot trees were grown with random top-level splits "
+                "(random_splits > 0); this build cannot decode them"
+            )
+        counters.append(BuildCounters(**entry))
     node_overflow = meta["payload_overflow"]["nodes"]
     variant_overflow = meta["payload_overflow"]["variants"]
 
@@ -473,9 +479,11 @@ def _load_snapshot(path: Path) -> tuple[HedgeCutClassifier, SnapshotInfo]:
     kind = columns["node_kind"]
     a, b, c, d = columns["node_a"], columns["node_b"], columns["node_c"], columns["node_d"]
     is_cat = columns["node_is_cat"]
-    # Snapshots written before the topd knob carry no node_random column;
-    # every split of theirs is a statistics-maintained one.
-    node_random = columns.get("node_random") or [False] * len(kind)
+    if any(columns.get("node_random", ())):
+        raise SnapshotFormatError(
+            "snapshot holds random top-level splits (node_random); this "
+            "build decodes only statistics-maintained splits"
+        )
     s_n, s_plus = columns["node_stat_n"], columns["node_stat_plus"]
     s_left, s_left_plus = columns["node_stat_left"], columns["node_stat_left_plus"]
     v_feature, v_payload = columns["var_feature"], columns["var_payload"]
@@ -499,7 +507,6 @@ def _load_snapshot(path: Path) -> tuple[HedgeCutClassifier, SnapshotInfo]:
                 SplitStats(s_n[index], s_plus[index], s_left[index], s_left_plus[index]),
                 nodes[c[index]],
                 nodes[d[index]],
-                node_random[index],
             )
         elif node_kind == _KIND_MAINTENANCE:
             first, count = a[index], b[index]
@@ -522,7 +529,6 @@ def _load_snapshot(path: Path) -> tuple[HedgeCutClassifier, SnapshotInfo]:
         else:
             raise SnapshotFormatError(f"unknown node kind {node_kind} at row {index}")
 
-    counters = [BuildCounters(**entry) for entry in meta["tree_counters"]]
     trees = [
         HedgeCutTree(root=nodes[int(root)], counters=counter)
         for root, counter in zip(columns["tree_roots"], counters)

@@ -57,7 +57,7 @@ class ShardedHedgeCut:
         seed: base seed; shard ``i`` trains with
             ``seed + i * _SHARD_SEED_STRIDE`` (shard 0 = ``seed``).
         **model_kwargs: forwarded to every shard's
-            :class:`HedgeCutClassifier` (epsilon, topd, n_jobs, ...).
+            :class:`HedgeCutClassifier` (epsilon, n_jobs, ...).
     """
 
     def __init__(

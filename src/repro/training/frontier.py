@@ -68,7 +68,6 @@ from repro.core.tree import (
     BuildCounters,
     CandidateSplit,
     HedgeCutTree,
-    _random_split,
     judge_best,
 )
 from repro.dataprep.dataset import Dataset
@@ -128,7 +127,6 @@ class _LevelDecisions:
     n_left: np.ndarray  # (S,) int64
     n_left_plus: np.ndarray  # (S,) int64
     capped: np.ndarray  # (S,) bool: split accepted under an exhausted cap
-    random: np.ndarray  # (S,) bool: DaRE-style random top-d split
     wide_masks: dict[int, int]  # slot -> mask for wide categorical splits
     maintenance: dict[int, tuple[CandidateSplit, list[CandidateSplit]]]
 
@@ -244,18 +242,12 @@ class FrontierTreeBuilder:
             n_left=np.zeros(n_slots, dtype=np.int64),
             n_left_plus=np.zeros(n_slots, dtype=np.int64),
             capped=np.zeros(n_slots, dtype=bool),
-            random=np.zeros(n_slots, dtype=bool),
             wide_masks={},
             maintenance={},
         )
         pending = np.flatnonzero(~leaf_mask)
         if pending.size == 0:
             return decisions
-
-        if level.depth < self.params.topd:
-            pending = self._decide_random_slots(level, ncm, decisions, pending)
-            if pending.size == 0:
-                return decisions
 
         maintenance_left = np.asarray(level.maintenance_left, dtype=np.int64)
         check = np.zeros(pending.size, dtype=bool)
@@ -323,59 +315,6 @@ class FrontierTreeBuilder:
                 )
             self._compose_checked(decisions, int(pending[unit]), trials)
         return decisions
-
-    def _decide_random_slots(
-        self,
-        level: _Level,
-        ncm: np.ndarray,
-        decisions: _LevelDecisions,
-        pending: np.ndarray,
-    ) -> np.ndarray:
-        """DaRE-style random decisions for the slots of a top-``d`` level.
-
-        Scalar per slot -- a top-``d`` level holds at most ``2^topd``
-        growth points, so there is nothing to vectorise. Each slot draws a
-        uniform non-constant feature and a global-proposal split
-        (:func:`~repro.core.tree._random_split`, the same distribution the
-        recursive builder uses), retried up to ``B`` times; draws that do
-        not separate the slot's local data are rejected. Slots with no
-        valid draw are returned still-pending and fall through to the
-        statistical trial machinery, mirroring the recursive builder's
-        fall-through.
-        """
-        rng = self.rng
-        starts = level.starts
-        still_pending: list[int] = []
-        for slot in pending.tolist():
-            non_constant = np.flatnonzero(ncm[slot])
-            segment = slice(int(starts[slot]), int(starts[slot + 1]))
-            labels_seg = level.labels[segment]
-            decided = False
-            for _ in range(self.params.max_tries_per_split):
-                feature = int(rng.choice(non_constant))
-                split = _random_split(feature, self.dataset, rng)
-                if split is None:
-                    continue
-                stats = split.count(level.codes[feature][segment], labels_seg)
-                if not stats.splits_data:
-                    continue
-                self.counters.random_splits += 1
-                decisions.kind[slot] = _KIND_SPLIT
-                decisions.random[slot] = True
-                decisions.feature[slot] = feature
-                if isinstance(split, NumericSplit):
-                    decisions.param[slot] = split.cut
-                elif self.n_values[feature] <= 62:
-                    decisions.param[slot] = split.subset_mask
-                else:
-                    decisions.wide_masks[slot] = split.subset_mask
-                decisions.n_left[slot] = stats.n_left
-                decisions.n_left_plus[slot] = stats.n_left_plus
-                decided = True
-                break
-            if not decided:
-                still_pending.append(slot)
-        return np.asarray(still_pending, dtype=pending.dtype)
 
     def _compose_checked(
         self,
@@ -704,10 +643,7 @@ class FrontierTreeBuilder:
         if split_slots.size == 0 and maintenance_slots.size == 0:
             return None
 
-        # Random top-d splits were already counted by _decide_random_slots.
-        self.counters.robust_splits += int(
-            split_slots.size - decisions.random[split_slots].sum()
-        )
+        self.counters.robust_splits += int(split_slots.size)
         self.counters.capped_maintenance += int(decisions.capped[split_slots].sum())
         split_nodes: list[SplitNode] = []
         for index in split_slots:
@@ -734,7 +670,6 @@ class FrontierTreeBuilder:
                 ),
                 left=None,
                 right=None,
-                random=bool(decisions.random[slot]),
             )
             self._attach(split_node, level.attach[slot], root_ref)
             split_nodes.append(split_node)

@@ -10,6 +10,7 @@ from repro.core.exceptions import (
     UnlearningError,
 )
 from repro.dataprep.dataset import Record
+from repro.persistence.snapshot import SnapshotFormatError, load_snapshot, save_snapshot
 
 from tests.conftest import make_random_dataset
 
@@ -219,24 +220,24 @@ class TestCensusAndPersistence:
 
     def test_save_load_roundtrip(self, tmp_path, fitted_model, income_split):
         _, test = income_split
-        path = tmp_path / "model.bin"
-        fitted_model.save(path)
-        restored = HedgeCutClassifier.load(path)
+        path = tmp_path / "model.npz"
+        save_snapshot(fitted_model, path)
+        restored, _ = load_snapshot(path)
         assert np.array_equal(
             fitted_model.predict_batch(test), restored.predict_batch(test)
         )
         assert restored.deletion_budget == fitted_model.deletion_budget
 
     def test_save_requires_fit(self, tmp_path):
-        with pytest.raises(NotFittedError):
-            HedgeCutClassifier().save(tmp_path / "nope.bin")
+        with pytest.raises(SnapshotFormatError):
+            save_snapshot(HedgeCutClassifier(), tmp_path / "nope.npz")
 
     def test_load_preserves_unlearning_state(self, tmp_path, fitted_model, income_split):
         train, _ = income_split
         fitted_model.unlearn(train.record(0))
-        path = tmp_path / "model.bin"
-        fitted_model.save(path)
-        restored = HedgeCutClassifier.load(path)
+        path = tmp_path / "model.npz"
+        save_snapshot(fitted_model, path)
+        restored, _ = load_snapshot(path)
         assert restored.n_unlearned == 1
 
 

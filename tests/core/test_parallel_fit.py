@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.ensemble import HedgeCutClassifier
 from repro.core.params import HedgeCutParams
+from repro.persistence.snapshot import load_snapshot, save_snapshot
 
 from tests.conftest import make_random_dataset
 
@@ -74,6 +75,6 @@ class TestParallelTraining:
     def test_save_load_preserves_n_jobs(self, tmp_path):
         dataset = make_random_dataset(n_rows=200, seed=63)
         model = HedgeCutClassifier(n_trees=2, seed=63, n_jobs=2).fit(dataset)
-        model.save(tmp_path / "m.bin")
-        restored = HedgeCutClassifier.load(tmp_path / "m.bin")
+        save_snapshot(model, tmp_path / "m.npz")
+        restored, _ = load_snapshot(tmp_path / "m.npz")
         assert restored.params.n_jobs == 2

@@ -10,11 +10,6 @@ round-trips, and after a batch's whole-batch rollback.
 Insertions (``learn_one``) write through to the pack the same way, and a
 hypothesis suite drives random delete / batch-delete / insert / predict
 interleavings against the object-walk oracle.
-
-The second half covers the DaRE-style ``topd`` knob: ``topd=0`` trains
-bit-identical models to the pre-knob code, deletions never touch the
-frozen random layers, and both the snapshot codec and WAL recovery
-preserve the random flags.
 """
 
 import copy
@@ -27,7 +22,6 @@ from repro.core.ensemble import HedgeCutClassifier
 from repro.core.exceptions import UnlearningError
 from repro.core.nodes import Leaf, MaintenanceNode, SplitNode, iter_nodes
 from repro.core.packed import PackedEnsemble
-from repro.core.tree import TreeBuilder
 from repro.core.unlearning import UnlearningReport
 from repro.dataprep.dataset import Record
 from repro.datasets.registry import load_dataset
@@ -60,9 +54,7 @@ def _split_counts(model):
         for node in iter_nodes(tree.root):
             if isinstance(node, SplitNode):
                 stats = node.stats
-                counts.append(
-                    (node.random, stats.n, stats.n_plus, stats.n_left, stats.n_left_plus)
-                )
+                counts.append((stats.n, stats.n_plus, stats.n_left, stats.n_left_plus))
     return counts
 
 
@@ -266,153 +258,6 @@ class TestFastPathEquivalence:
                 model.learn_one(bad)
             assert _fingerprint(model) == before
             assert np.array_equal(model.predict_proba_batch(test), before_proba)
-
-
-def _fit(train, builder, **kwargs):
-    """Fit a classifier whose trees are grown by ``builder``.
-
-    ``"frontier"`` is :meth:`HedgeCutClassifier.fit` itself; ``"recursive"``
-    grows the same per-tree random streams with the depth-first reference
-    :class:`TreeBuilder`, so the topd properties hold on both builders.
-    """
-    model = HedgeCutClassifier(**kwargs)
-    if builder == "frontier":
-        return model.fit(train)
-    params = model.params
-    tree_rngs = np.random.default_rng(params.seed).spawn(params.n_trees)
-    return HedgeCutClassifier.from_state(
-        params=params,
-        trees=[TreeBuilder(train, params, rng).build() for rng in tree_rngs],
-        schema=train.schema,
-        deletion_budget=params.deletion_budget(train.n_rows),
-        n_unlearned=0,
-        n_trained_on=train.n_rows,
-    )
-
-
-class TestTopdKnob:
-    def test_negative_topd_rejected(self):
-        with pytest.raises(ValueError, match="topd"):
-            HedgeCutClassifier(n_trees=2, topd=-1)
-
-    @pytest.mark.parametrize("builder", ["recursive", "frontier"])
-    def test_topd_zero_is_bit_identical(self, income_split, builder):
-        # topd=0 must reproduce the pre-knob trees exactly: same rng
-        # consumption, same splits, same predictions.
-        train, test = income_split
-        base = _fit(train, builder, n_trees=3, epsilon=0.01, seed=9)
-        knob = _fit(train, builder, n_trees=3, epsilon=0.01, topd=0, seed=9)
-        assert _split_counts(base) == _split_counts(knob)
-        assert np.array_equal(
-            base.predict_proba_batch(test), knob.predict_proba_batch(test)
-        )
-        assert sum(t.counters.random_splits for t in knob.trees) == 0
-
-    @pytest.mark.parametrize("builder", ["recursive", "frontier"])
-    def test_random_layers_confined_to_topd(self, income_split, builder):
-        train, _ = income_split
-        topd = 2
-        model = _fit(train, builder, n_trees=3, epsilon=0.01, topd=topd, seed=9)
-        n_random = 0
-        for tree in model.trees:
-            stack = [(tree.root, 0)]
-            while stack:
-                node, depth = stack.pop()
-                if isinstance(node, MaintenanceNode):
-                    node = node.active
-                if isinstance(node, SplitNode):
-                    if node.random:
-                        assert depth < topd, "random split below the topd boundary"
-                        n_random += 1
-                    stack.append((node.left, depth + 1))
-                    stack.append((node.right, depth + 1))
-        assert n_random > 0, "topd=2 trained no random splits"
-        assert n_random == sum(t.counters.random_splits for t in model.trees)
-
-    @pytest.mark.parametrize("builder", ["recursive", "frontier"])
-    def test_deletions_never_touch_random_layers(self, income_split, builder):
-        # Random-node stats are frozen at training time: neither the fast
-        # nor the object path may decrement them, and the report counts
-        # the skipped traversals separately.
-        train, test = income_split
-        model = _fit(train, builder, n_trees=3, epsilon=0.01, topd=2, seed=9)
-        frozen_before = [c for c in _split_counts(model) if c[0]]
-        total = assert_fast_equivalent_campaign(model, train, test, range(30))
-        assert total.random_nodes_visited > 0
-        # Re-run the campaign on a fresh copy to inspect the final state.
-        survivor = copy.deepcopy(model)
-        _ = survivor.packed.unlearn_pack()
-        for row in range(30):
-            try:
-                survivor.unlearn(train.record(row), allow_budget_overrun=True)
-            except UnlearningError:
-                pass
-        frozen_after = [c for c in _split_counts(survivor) if c[0]]
-        assert frozen_after == frozen_before
-
-    def test_topd_shortens_the_validated_path(self, income_split):
-        # The random top layers route deletions without validating them:
-        # on the same records, topd=2 visits fewer robust splits than
-        # topd=0 and skips its random ones instead.
-        train, _ = income_split
-        records = [train.record(row) for row in range(64)]
-        reports = {}
-        for topd in (0, 2):
-            model = HedgeCutClassifier(n_trees=4, epsilon=0.05, topd=topd, seed=11)
-            model.fit(train).packed.unlearn_pack()
-            reports[topd] = model.unlearn_batch(records, allow_budget_overrun=True)
-        assert reports[0].random_nodes_visited == 0
-        assert reports[2].random_nodes_visited > 0
-        assert reports[2].robust_nodes_visited < reports[0].robust_nodes_visited
-
-    def test_learn_one_never_touches_random_layers(self, income_split):
-        train, _ = income_split
-        model = HedgeCutClassifier(n_trees=3, epsilon=0.01, topd=2, seed=9).fit(train)
-        frozen_before = [c for c in _split_counts(model) if c[0]]
-        for row in range(10):
-            model.learn_one(train.record(row))
-        frozen_after = [c for c in _split_counts(model) if c[0]]
-        assert frozen_after == frozen_before
-
-    def test_snapshot_round_trip_preserves_random_flags(self, income_split, tmp_path):
-        from repro.persistence.snapshot import load_snapshot, save_snapshot
-
-        train, test = income_split
-        model = HedgeCutClassifier(n_trees=3, epsilon=0.01, topd=2, seed=9).fit(train)
-        save_snapshot(model, tmp_path / "m.npz")
-        restored, _ = load_snapshot(tmp_path / "m.npz")
-        assert _split_counts(restored) == _split_counts(model)
-        assert np.array_equal(
-            restored.predict_proba_batch(test), model.predict_proba_batch(test)
-        )
-        # The restored model unlearns identically on both paths.
-        assert_fast_equivalent_campaign(restored, train, test, range(10))
-
-    def test_wal_recovery_replays_to_same_state(self, income_split, tmp_path):
-        # Crash-recovery replays the WAL tail on a freshly loaded model;
-        # with topd layers present it must still land on the exact state
-        # the live packed path produced before the crash.
-        from repro.persistence.store import ModelStore
-
-        train, test = income_split
-        model = HedgeCutClassifier(n_trees=3, epsilon=0.01, topd=2, seed=9).fit(train)
-        with ModelStore(tmp_path / "store") as store:
-            store.save_snapshot(model, wal_seq=0)
-            _ = model.packed.unlearn_pack()
-            for row in range(12):
-                record = train.record(row)
-                try:
-                    model.unlearn(record, allow_budget_overrun=True)
-                except UnlearningError:
-                    continue
-                store.wal.append(record, allow_budget_overrun=True)
-        with ModelStore(tmp_path / "store") as store:
-            recovered = store.recover()
-        assert _split_counts(recovered.model) == _split_counts(model)
-        assert _active_variants(recovered.model) == _active_variants(model)
-        assert np.array_equal(
-            recovered.model.predict_proba_batch(test), model.predict_proba_batch(test)
-        )
 
 
 class TestLearnOneWriteThrough:

@@ -202,6 +202,26 @@ def test_corrupt_stores_only_raise_typed_errors(case):
         assert after == store
 
 
+def test_plain_split_without_a_stats_row_is_a_range_error(switching_model):
+    # Every split carries statistics, so a split slot whose stats row is
+    # -1 is a corrupt store. Corrupting the root of the last tree lets the
+    # earlier trees (and records) write first, so the rollback is exercised.
+    data, model, _ = switching_model
+    model = copy.deepcopy(model)
+    pack = model.packed.unlearn_pack()
+    split_roots = [int(slot) for slot in pack.tree_roots if pack.feature[slot] >= 0]
+    assert split_roots and split_roots[-1] != int(pack.tree_roots[0])
+    pack.stats_row[split_roots[-1]] = -1
+    before = _state(model)
+    records = [data.record(row) for row in range(1, 5)]
+    values = [code for record in records for code in record.values]
+    labels = [record.label for record in records]
+    for sign in (-1, 1):
+        with pytest.raises(IndexError):
+            pack.write(values, labels, len(records), data.n_features, sign)
+        assert _state(model) == before
+
+
 def test_fan_cycle_is_torn_not_a_hang():
     # One fan whose only variant slot is a split whose children are the
     # fan itself: every step re-enters the fan.

@@ -7,6 +7,7 @@ from repro.core.ensemble import HedgeCutClassifier
 from repro.datasets.registry import available_datasets, load_dataset_with_preprocessor, load_raw
 from repro.evaluation.metrics import accuracy
 from repro.evaluation.splits import train_test_split
+from repro.persistence.snapshot import load_snapshot, save_snapshot
 from repro.serving.simulator import RequestMix, ServingSimulator
 
 
@@ -78,9 +79,9 @@ def test_model_survives_save_load_unlearn_cycle(tmp_path):
     model = HedgeCutClassifier(n_trees=3, epsilon=0.01, seed=4)
     model.fit(train)
     model.unlearn(train.record(0))
-    model.save(tmp_path / "deployed.bin")
+    save_snapshot(model, tmp_path / "deployed.npz")
 
-    restored = HedgeCutClassifier.load(tmp_path / "deployed.bin")
+    restored, _ = load_snapshot(tmp_path / "deployed.npz")
     assert restored.n_unlearned == 1
     if restored.remaining_deletion_budget:
         restored.unlearn(train.record(1))

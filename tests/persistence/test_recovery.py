@@ -63,7 +63,8 @@ class TestCrashRecovery:
         for row in range(k):
             uninterrupted.unlearn(dataset.record(row), allow_budget_overrun=True)
 
-        recovered = ModelStore(tmp_path / "store").recover()
+        with ModelStore(tmp_path / "store") as store:
+            recovered = store.recover()
         assert recovered.n_replayed == k
         assert recovered.wal_seq == k
         assert recovered.model.n_unlearned == uninterrupted.n_unlearned
@@ -80,7 +81,8 @@ class TestCrashRecovery:
         for row in range(12):
             uninterrupted.unlearn(dataset.record(row), allow_budget_overrun=True)
 
-        recovered = ModelStore(tmp_path / "store").recover()
+        with ModelStore(tmp_path / "store") as store:
+            recovered = store.recover()
         # The snapshot at seq 5 absorbs the first five deletions.
         assert recovered.snapshot is not None
         assert recovered.snapshot.wal_seq == 5
@@ -99,7 +101,8 @@ class TestCrashRecovery:
         for row in range(6):
             uninterrupted.unlearn(dataset.record(row), allow_budget_overrun=True)
 
-        recovered = ModelStore(tmp_path / "store").recover().model
+        with ModelStore(tmp_path / "store") as store:
+            recovered = store.recover().model
         for row in range(6, 15):
             uninterrupted.unlearn(dataset.record(row), allow_budget_overrun=True)
             recovered.unlearn(dataset.record(row), allow_budget_overrun=True)
@@ -112,7 +115,8 @@ class TestCrashRecovery:
         store_dir = tmp_path / "store"
         _crash_after_k_deletions(store_dir, model, dataset, k=8, snapshot_at=4)
 
-        snapshots = ModelStore(store_dir).snapshot_paths()
+        with ModelStore(store_dir) as store:
+            snapshots = store.snapshot_paths()
         assert len(snapshots) == 2
         latest = snapshots[-1]
         latest.write_bytes(latest.read_bytes()[:-40] + b"\x00" * 40)
@@ -121,7 +125,8 @@ class TestCrashRecovery:
         for row in range(8):
             uninterrupted.unlearn(dataset.record(row), allow_budget_overrun=True)
 
-        recovered = ModelStore(store_dir).recover()
+        with ModelStore(store_dir) as store:
+            recovered = store.recover()
         assert recovered.skipped_snapshots == [latest]
         assert np.array_equal(
             recovered.model.predict_batch(dataset),
@@ -136,7 +141,8 @@ class TestCrashRecovery:
         model, dataset = noisy_setup
         store_dir = tmp_path / "store"
         _crash_after_k_deletions(store_dir, model, dataset, k=3, snapshot_at=2)
-        latest = ModelStore(store_dir).snapshot_paths()[-1]
+        with ModelStore(store_dir) as store:
+            latest = store.snapshot_paths()[-1]
         latest.write_bytes(latest.read_bytes()[:-40] + b"\x00" * 40)
 
         # A leaked file's ResourceWarning is raised in its finaliser, which
@@ -157,8 +163,8 @@ class TestCrashRecovery:
         assert unraisable == []
 
     def test_empty_store_raises(self, tmp_path):
-        with pytest.raises(HedgeCutError):
-            ModelStore(tmp_path / "empty").recover()
+        with pytest.raises(HedgeCutError), ModelStore(tmp_path / "empty") as store:
+            store.recover()
 
     @pytest.mark.shm
     def test_shm_engine_rematerialises_segments_from_store(
@@ -241,7 +247,8 @@ class TestBatchFrameRecovery:
 
         uninterrupted = _apply_campaign_live(model, dataset, ops)
 
-        recovered = ModelStore(tmp_path / "store").recover()
+        with ModelStore(tmp_path / "store") as store:
+            recovered = store.recover()
         assert recovered.n_replayed == 14
         assert recovered.wal_seq == 14
         assert recovered.model.n_unlearned == uninterrupted.n_unlearned
@@ -261,7 +268,8 @@ class TestBatchFrameRecovery:
 
         uninterrupted = _apply_campaign_live(model, dataset, ops)
 
-        recovered = ModelStore(tmp_path / "store").recover()
+        with ModelStore(tmp_path / "store") as store:
+            recovered = store.recover()
         # The snapshot at seq 6 absorbs the first batch; replay covers the
         # single at seq 7 plus the five-record batch frame behind it.
         assert recovered.snapshot is not None
@@ -280,7 +288,8 @@ class TestBatchFrameRecovery:
         _crash_after_batched_campaign(tmp_path / "store", model, dataset, ops)
 
         uninterrupted = _apply_campaign_live(model, dataset, ops)
-        recovered = ModelStore(tmp_path / "store").recover().model
+        with ModelStore(tmp_path / "store") as store:
+            recovered = store.recover().model
 
         tail = [dataset.record(row) for row in range(5, 12)]
         for side in (uninterrupted, recovered):
@@ -328,7 +337,8 @@ class TestMixedStreamRecovery:
             _apply_mixed(live, _mixed_ops(dataset, k), store=store)
             # Crash: no final snapshot.
 
-        recovered = ModelStore(tmp_path / "store").recover()
+        with ModelStore(tmp_path / "store") as store:
+            recovered = store.recover()
         assert recovered.n_replayed == k
         assert recovered.n_replay_failures == 0
         np.testing.assert_array_equal(
@@ -357,7 +367,8 @@ class TestRejectedRecordReplay:
             audit.learn_one("ins-ok", dataset.record(250))
         assert [entry.succeeded for entry in audit.entries] == [True, False, False, True]
 
-        recovered = ModelStore(tmp_path / "store").recover()
+        with ModelStore(tmp_path / "store") as store:
+            recovered = store.recover()
         assert recovered.n_replayed == 2
         assert recovered.n_replay_failures == 2
         assert recovered.wal_seq == 4

@@ -171,15 +171,28 @@ def _rewrite_params(path, edit) -> None:
     The result is a well-formed, integrity-checked file whose params differ
     from what this build writes -- as a snapshot from another build would.
     """
+    _reseal(path, lambda meta, arrays: edit(meta["params"]))
+
+
+def _reseal(path, edit) -> None:
+    """Apply ``edit(meta, arrays)`` to a snapshot and re-seal its checksum."""
     with np.load(path, allow_pickle=False) as archive:
         arrays = {key: archive[key] for key in archive.files if key != "__meta__"}
         meta = json.loads(str(archive["__meta__"]))
-    edit(meta["params"])
+    edit(meta, arrays)
     meta["checksum"] = _checksum(arrays, meta)
     with open(path, "wb") as sink:
         np.savez_compressed(
             sink, __meta__=np.array(json.dumps(meta, sort_keys=True)), **arrays
         )
+
+
+def _add_random_column(meta, arrays, set_row=None) -> None:
+    """Give a snapshot the ``node_random`` column older builds wrote."""
+    column = np.zeros(arrays["node_kind"].shape[0], dtype=np.bool_)
+    if set_row is not None:
+        column[set_row] = True
+    arrays["node_random"] = column
 
 
 class TestStoredParams:
@@ -205,7 +218,8 @@ class TestStoredParams:
             store.save_snapshot(model, wal_seq=0)
             (path,) = store.snapshot_paths()
         _rewrite_params(path, lambda params: params.update(trainer="recursive"))
-        recovered = ModelStore(tmp_path / "store").recover()
+        with ModelStore(tmp_path / "store") as store:
+            recovered = store.recover()
         matrix = dataset.feature_matrix()
         assert recovered.skipped_snapshots == []
         assert np.array_equal(
@@ -216,14 +230,74 @@ class TestStoredParams:
     def test_pre_topd_snapshot_loads_with_topd_zero(
         self, tmp_path, noisy_model_and_data
     ):
+        # A snapshot from before the random-top-level knob has no topd key,
+        # no node_random column and no random_splits counter: the files
+        # this build writes.
         model, dataset = noisy_model_and_data
         path = tmp_path / "m.npz"
         save_snapshot(model, path)
-        _rewrite_params(path, lambda params: params.pop("topd"))
+        with np.load(path, allow_pickle=False) as archive:
+            meta = json.loads(str(archive["__meta__"]))
+            assert "node_random" not in archive.files
+        assert "topd" not in meta["params"]
+        assert all("random_splits" not in entry for entry in meta["tree_counters"])
         restored, _ = load_snapshot(path)
-        assert restored.params.topd == 0
         assert np.array_equal(
             restored.predict_batch(dataset), model.predict_batch(dataset)
+        )
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda meta, arrays: meta["params"].update(topd=2),
+            lambda meta, arrays: _add_random_column(meta, arrays, set_row=0),
+            lambda meta, arrays: meta["tree_counters"][-1].update(random_splits=1),
+        ],
+        ids=["topd-param", "node-random-column", "random-splits-counter"],
+    )
+    def test_random_top_levels_raise_format_error(
+        self, tmp_path, noisy_model_and_data, edit
+    ):
+        # Random, statistics-frozen top levels have no decoding here; they
+        # must not load as statistics-maintained splits.
+        model, _ = noisy_model_and_data
+        path = tmp_path / "m.npz"
+        save_snapshot(model, path)
+        _reseal(path, edit)
+        with pytest.raises(SnapshotFormatError):
+            load_snapshot(path)
+
+    def test_topd_zero_snapshot_loads_bit_identically(
+        self, tmp_path, noisy_model_and_data
+    ):
+        model, dataset = noisy_model_and_data
+
+        def edit(meta, arrays):
+            meta["params"]["topd"] = 0
+            _add_random_column(meta, arrays)
+            for entry in meta["tree_counters"]:
+                entry["random_splits"] = 0
+
+        matrix = dataset.feature_matrix()
+        path = tmp_path / "m.npz"
+        save_snapshot(model, path)
+        _reseal(path, edit)
+        restored, _ = load_snapshot(path)
+        assert restored.params == model.params
+        assert np.array_equal(
+            restored.predict_proba_rows(matrix), model.predict_proba_rows(matrix)
+        )
+
+        with ModelStore(tmp_path / "store") as store:
+            store.save_snapshot(model, wal_seq=0)
+            (path,) = store.snapshot_paths()
+        _reseal(path, edit)
+        with ModelStore(tmp_path / "store") as store:
+            recovered = store.recover()
+        assert recovered.skipped_snapshots == []
+        assert np.array_equal(
+            recovered.model.predict_proba_rows(matrix),
+            model.predict_proba_rows(matrix),
         )
 
     @pytest.mark.parametrize(

@@ -143,13 +143,13 @@ class TestBatchFrames:
 
 class TestInsertionFrames:
     def test_interleaving_survives_in_shared_sequence(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "wal")
-        wal.append(_record(0), request_id="d0")
-        wal.append_insertion(_record(1), request_id="i0")
-        wal.append(_record(2), request_id="d1")
-        wal.close()
+        with WriteAheadLog(tmp_path / "wal") as wal:
+            wal.append(_record(0), request_id="d0")
+            wal.append_insertion(_record(1), request_id="i0")
+            wal.append(_record(2), request_id="d1")
 
-        frames = list(WriteAheadLog(tmp_path / "wal").frames())
+        with WriteAheadLog(tmp_path / "wal") as wal:
+            frames = list(wal.frames())
         assert [type(frame) for frame in frames] == [
             DeletionRecord,
             InsertionRecord,
@@ -161,11 +161,11 @@ class TestInsertionFrames:
         assert insert.to_record().label == _record(1).label
 
     def test_records_iterator_stays_deletions_only(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "wal")
-        wal.append(_record(0), request_id="d0")
-        wal.append_insertion(_record(1), request_id="i0")
-        wal.close()
-        records = list(WriteAheadLog(tmp_path / "wal").records())
+        with WriteAheadLog(tmp_path / "wal") as wal:
+            wal.append(_record(0), request_id="d0")
+            wal.append_insertion(_record(1), request_id="i0")
+        with WriteAheadLog(tmp_path / "wal") as wal:
+            records = list(wal.records())
         assert len(records) == 1
         assert isinstance(records[0], DeletionRecord)
 

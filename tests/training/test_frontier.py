@@ -23,6 +23,7 @@ import pytest
 from repro.core.ensemble import HedgeCutClassifier
 from repro.core.nodes import Leaf, MaintenanceNode, SplitNode
 from repro.core.params import HedgeCutParams
+from repro.persistence.snapshot import load_snapshot, save_snapshot
 from repro.core.tree import TreeBuilder
 from repro.datasets.registry import available_datasets, load_dataset
 from repro.evaluation.splits import train_test_split
@@ -177,10 +178,10 @@ class TestFrontierUnlearning:
         with pytest.raises(DeletionBudgetExhausted):
             model.unlearn(income_small.record(model.deletion_budget))
 
-    def test_pickle_save_load_round_trip(self, income_small, tmp_path):
+    def test_snapshot_save_load_round_trip(self, income_small, tmp_path):
         model = HedgeCutClassifier(n_trees=2, seed=43).fit(income_small)
-        model.save(tmp_path / "m.bin")
-        restored = HedgeCutClassifier.load(tmp_path / "m.bin")
+        save_snapshot(model, tmp_path / "m.npz")
+        restored, _ = load_snapshot(tmp_path / "m.npz")
         assert np.array_equal(
             model.predict_proba_batch(income_small),
             restored.predict_proba_batch(income_small),

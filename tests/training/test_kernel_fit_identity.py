@@ -49,7 +49,7 @@ def hedgecut_fingerprint(model) -> list:
                                 variant.gain))
                     stack.extend((variant.right, variant.left))
             else:
-                out.append((split_key(node.split), node.stats.quadrants(), node.random))
+                out.append((split_key(node.split), node.stats.quadrants()))
                 stack.extend((node.right, node.left))
     return out
 
@@ -128,7 +128,6 @@ def test_full_registry(monkeypatch, name, seed):
         {"robustness_mode": "verified"},
         {"robustness_mode": "off"},
         {"max_maintenance_depth": None},
-        {"topd": 2},
     ],
 )
 def test_options_on_wide_domains(monkeypatch, options):
